@@ -22,10 +22,8 @@ iterates are **bitwise** those of :func:`~repro.solvers.cg.pcg` for
 plan prices the communication the decomposition would pay, returned in
 ``result.extra["shard"]``.  :func:`shard_matvec` performs the actual
 per-shard computation (concatenated row-block SpMVs) for the tests
-that validate the decomposition numerically; it agrees with the fused
-kernel to rounding (the fused kernel's segmented prefix-sum associates
-additions across row boundaries, so equality is to float tolerance,
-not bitwise).
+that validate the decomposition numerically; it is bitwise equal to
+the fused kernel, which sums every row on its own.
 """
 
 from __future__ import annotations
@@ -171,10 +169,9 @@ def shard_matrices(a: CSRMatrix, plan: RowShardPlan) -> list[CSRMatrix]:
 def shard_matvec(a: CSRMatrix, plan: RowShardPlan,
                  x: np.ndarray) -> np.ndarray:
     """``A @ x`` computed the distributed way: per-shard row-block
-    SpMVs, concatenated.  Agrees with :meth:`CSRMatrix.matvec` to
-    rounding (the fused kernel's prefix sum associates additions
-    differently across row boundaries, so agreement is to float
-    tolerance, not bitwise) — the decomposition-validity test."""
+    SpMVs, concatenated.  Bitwise equal to :meth:`CSRMatrix.matvec`,
+    since every row is summed on its own — the decomposition-validity
+    test."""
     return np.concatenate([s.matvec(x) for s in shard_matrices(a, plan)])
 
 

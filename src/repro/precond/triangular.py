@@ -25,15 +25,12 @@ two from modeled cost.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from ..errors import NotTriangularError, ShapeError, SingularFactorError
 from ..graph.levels import LevelSchedule, level_schedule
 from ..graph.partition import RowPartition, partition_rows, split_partition
 from ..sparse.csr import CSRMatrix
-from ..util import segment_sum
 
 __all__ = [
     "solve_lower_sequential",
@@ -94,6 +91,40 @@ def _pivot_error(row: int, pivot: float, thr: float) -> SingularFactorError:
         f"pivot magnitude {abs(pivot):.3e} at row {row} is at or below "
         f"the rejection threshold {thr:.3e} "
         f"(relative to the largest pivot)")
+
+
+def _entry_rows(tri: CSRMatrix, kind: str) -> np.ndarray:
+    """Row of every stored entry; raises :class:`NotTriangularError` for
+    an entry on the wrong side of the diagonal."""
+    rid = np.repeat(np.arange(tri.n_rows, dtype=np.int64),
+                    tri.row_lengths())
+    if kind == "lower":
+        if np.any(tri.indices > rid):
+            raise NotTriangularError("entries above the diagonal")
+    elif np.any(tri.indices < rid):
+        raise NotTriangularError("entries below the diagonal")
+    return rid
+
+
+def _checked_diag(tri: CSRMatrix, pivot_rtol: float | None) -> np.ndarray:
+    """The summed diagonal, after pivot validation.
+
+    Duplicates are summed (matching the sequential oracles), and a
+    missing pivot or a magnitude at or below the relative threshold
+    raises :class:`SingularFactorError` — including the denormal pivots
+    whose float32 reciprocal would overflow to inf.
+    """
+    diag, present = _summed_diag(tri)
+    if not present.all():
+        row = int(np.flatnonzero(~present)[0])
+        raise SingularFactorError(row, 0.0)
+    thr = _pivot_threshold(tri.dtype, float(np.abs(diag).max(initial=0.0)),
+                           pivot_rtol)
+    bad = np.abs(diag) <= thr
+    if np.any(bad):
+        row = int(np.flatnonzero(bad)[0])
+        raise _pivot_error(row, float(diag[row]), thr)
+    return diag
 
 
 def solve_lower_sequential(lower: CSRMatrix, b: np.ndarray, *,
@@ -206,11 +237,15 @@ class ScheduledTriangularSolver:
 
     Notes
     -----
-    Construction performs the inspector work once: it extracts the
-    off-diagonal entries grouped by wavefront, so that :meth:`solve` only
-    executes ``n_levels`` segmented gather/sum kernels.  The per-level
-    row and nonzero counts are exposed via :meth:`kernel_profile` for the
-    machine model.
+    Construction performs the inspector work once.  It permutes the rows
+    into schedule order -- within each wavefront, rows without an
+    off-diagonal entry first -- and renumbers the off-diagonal columns to
+    match, so wavefront *k* is the contiguous slice
+    ``level_ptr[k]:level_ptr[k+1]`` of the permuted solution and its
+    entries form one contiguous run.  :meth:`solve` then runs at most
+    five NumPy calls per wavefront on read-only per-level views.  The
+    per-level row and nonzero counts are exposed via
+    :meth:`kernel_profile` for the machine model.
     """
 
     #: Engine tag for reporting / auto-selection bookkeeping.
@@ -232,72 +267,56 @@ class ScheduledTriangularSolver:
         if self.schedule.n_rows != n:
             raise ShapeError("schedule size does not match matrix order")
 
-        rid = np.repeat(np.arange(n, dtype=np.int64), tri.row_lengths())
+        rid = _entry_rows(tri, kind)
         cols = tri.indices
-        if kind == "lower":
-            if np.any(cols > rid):
-                raise NotTriangularError("entries above the diagonal")
-            off_mask = cols < rid
-        else:
-            if np.any(cols < rid):
-                raise NotTriangularError("entries below the diagonal")
-            off_mask = cols > rid
+        off_mask = cols < rid if kind == "lower" else cols > rid
+        inv_diag = (None if self.unit_diagonal else
+                    (1.0 / _checked_diag(tri, pivot_rtol)).astype(tri.dtype))
 
-        # Diagonal (reciprocal) with pivot validation: duplicates are
-        # summed (matching the sequential oracles) and magnitudes at or
-        # below the relative threshold are rejected — including the
-        # denormal pivots whose float32 reciprocal would overflow to inf.
-        if not self.unit_diagonal:
-            diag, present = _summed_diag(tri)
-            if not present.all():
-                row = int(np.flatnonzero(~present)[0])
-                raise SingularFactorError(row, 0.0)
-            thr = _pivot_threshold(tri.dtype,
-                                   float(np.abs(diag).max(initial=0.0)),
-                                   pivot_rtol)
-            bad = np.abs(diag) <= thr
-            if np.any(bad):
-                row = int(np.flatnonzero(bad)[0])
-                raise _pivot_error(row, float(diag[row]), thr)
-            self._inv_diag = (1.0 / diag).astype(tri.dtype)
-        else:
-            self._inv_diag = None
-
-        # Off-diagonal entries compacted, then reordered into schedule order.
-        off_cols = cols[off_mask]
-        off_vals = tri.data[off_mask]
-        off_counts = np.zeros(n, dtype=np.int64)
-        np.add.at(off_counts, rid[off_mask], 1)
-        off_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(off_counts, out=off_indptr[1:])
-
+        # Schedule order, rows without off-diagonal entries first within
+        # each wavefront: a stable sort of the schedule by that key.
+        lp = self.schedule.level_ptr
+        sizes = np.diff(lp)
+        n_levels = sizes.shape[0]
+        off = np.flatnonzero(off_mask)
+        off_counts = np.bincount(rid[off], minlength=n)
         sched_rows = self.schedule.rows
-        lens = off_counts[sched_rows]
-        starts = off_indptr[sched_rows]
-        total = int(lens.sum())
-        if total:
-            take = (np.repeat(starts - np.concatenate(
-                ([0], np.cumsum(lens)[:-1])), lens)
-                + np.arange(total, dtype=np.int64))
-        else:
-            take = np.empty(0, dtype=np.int64)
-        self._gather_cols = off_cols[take]
-        self._gather_vals = off_vals[take]
-        # Per-row segment pointers, in schedule order.
-        self._seg_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=self._seg_ptr[1:])
-        self._rows = sched_rows
-        self._level_ptr = self.schedule.level_ptr
-        # Scratch buffers for the float64 fast path, sized to the widest
-        # wavefront.  Thread-local: cached solver instances are shared
-        # across the parallel suite runner's workers, and concurrent
-        # solves must not stomp each other's scratch space.
-        self._max_level_rows = (int(np.diff(self._level_ptr).max())
-                                if self.n_levels else 0)
-        seg_at = self._seg_ptr[self._level_ptr]
-        self._max_level_nnz = (int(np.diff(seg_at).max())
-                               if self.n_levels else 0)
-        self._scratch = threading.local()
+        has_off = off_counts[sched_rows] > 0
+        level = np.repeat(np.arange(n_levels, dtype=np.int64), sizes)
+        perm = sched_rows[np.argsort(2 * level + has_off, kind="stable")]
+        pos = np.empty(n, dtype=np.int64)
+        pos[perm] = np.arange(n, dtype=np.int64)
+
+        # Off-diagonal entries row by row in permuted order, columns
+        # renumbered to permuted positions.
+        lens = off_counts[perm]
+        seg = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lens, out=seg[1:])
+        off_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(off_counts, out=off_ptr[1:])
+        take = off[np.repeat(off_ptr[perm] - seg[:-1], lens)
+                   + np.arange(seg[-1], dtype=np.int64)]
+        gcols = pos[cols[take]]
+        gvals = tri.data[take][:, None]
+        # First row with entries in each wavefront, and each such row's
+        # segment start relative to the wavefront's first entry.
+        mid = lp[:-1] + np.bincount(level[~has_off], minlength=n_levels)
+        rel = seg[:-1] - np.repeat(seg[mid], sizes)
+        inv = inv_diag[perm][:, None] if inv_diag is not None else None
+        for arr in (perm, gcols, gvals, rel, inv):
+            if arr is not None:
+                arr.flags.writeable = False
+        self._perm = perm
+        self._level_nnz = seg[lp[1:]] - seg[lp[:-1]]
+        self._max_rows = int(sizes.max(initial=0))
+        self._max_nnz = int(self._level_nnz.max(initial=0))
+        self._levels = [
+            (lo, m, hi, s1 - s0, gcols[s0:s1], gvals[s0:s1], rel[m:hi],
+             None if inv is None else inv[lo:hi])
+            for lo, m, hi, s0, s1 in zip(lp[:-1].tolist(), mid.tolist(),
+                                         lp[1:].tolist(),
+                                         seg[mid].tolist(),
+                                         seg[lp[1:]].tolist())]
 
     # ------------------------------------------------------------------
     @property
@@ -313,7 +332,7 @@ class ScheduledTriangularSolver:
     @property
     def nnz(self) -> int:
         """Stored off-diagonal entries plus diagonal contributions."""
-        return int(self._gather_cols.shape[0]) + self.n
+        return int(self._level_nnz.sum()) + self.n
 
     def kernel_profile(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-level ``(rows, nnz)`` arrays for the machine cost model.
@@ -321,128 +340,55 @@ class ScheduledTriangularSolver:
         ``nnz`` counts the off-diagonal entries gathered in each level plus
         one diagonal operation per row.
         """
-        rows_per_level = np.diff(self._level_ptr)
-        nnz_off = (self._seg_ptr[self._level_ptr[1:]]
-                   - self._seg_ptr[self._level_ptr[:-1]])
-        return rows_per_level, nnz_off + rows_per_level
-
-    def _buffers(self) -> tuple[np.ndarray, np.ndarray,
-                                np.ndarray, np.ndarray]:
-        """This thread's scratch (prod, csum, sums, acc), allocated once."""
-        s = self._scratch
-        bufs = getattr(s, "bufs", None)
-        if bufs is None:
-            bufs = (np.empty(self._max_level_nnz, dtype=np.float64),
-                    np.empty(self._max_level_nnz + 1, dtype=np.float64),
-                    np.empty(self._max_level_rows, dtype=np.float64),
-                    np.empty(self._max_level_rows, dtype=np.float64))
-            s.bufs = bufs
-        return bufs
+        rows_per_level = np.diff(self.schedule.level_ptr)
+        return rows_per_level, self._level_nnz + rows_per_level
 
     # ------------------------------------------------------------------
     def solve(self, b: np.ndarray, out: np.ndarray | None = None
               ) -> np.ndarray:
-        """Solve the triangular system for right-hand side *b*.
+        """Solve the triangular system for *b*, ``(n,)`` or ``(n, B)``.
 
-        Executes one vectorized segmented kernel per wavefront.  When
-        everything is float64 (the common case) the per-level gather,
-        product, prefix sum, and subtraction all run into preallocated
-        scratch buffers — zero allocations inside the wavefront loop.
-
-        *b* may also be an ``(n, B)`` block of right-hand sides; the same
-        ``n_levels`` wavefront sweeps then serve all ``B`` columns at
-        once (the per-level barriers are paid once per sweep, not once
-        per column), and each column of the result is bitwise identical
-        to the single-RHS solve on that column.
+        One sweep over the wavefronts serves every column: the
+        right-hand side is permuted into schedule order once, each
+        wavefront gathers its rows' off-diagonal products, sums them per
+        row with ``np.add.reduceat``, subtracts and scales on a
+        contiguous slice, and the result is scattered back once.  The
+        per-level barriers are paid once per sweep, not once per column,
+        and column ``j`` of a block solve is bitwise identical to the
+        single-RHS solve of ``b[:, j]``.  Scratch space is allocated per
+        call, so one solver serves concurrent callers.
         """
         b = np.asarray(b)
-        if b.ndim == 2:
-            return self._solve_block(b, out)
-        if b.shape != (self.n,):
-            raise ShapeError(f"b must have shape ({self.n},)")
-        dtype = np.result_type(self.dtype, b.dtype)
-        x = out if out is not None else np.empty(self.n, dtype=dtype)
-        if x.shape != (self.n,):
-            raise ShapeError(f"out must have shape ({self.n},)")
-        rows, seg_ptr = self._rows, self._seg_ptr
-        gcols, gvals = self._gather_cols, self._gather_vals
-        lp = self._level_ptr
-        inv_diag = self._inv_diag
-        fast = (dtype == np.float64 and x.dtype == np.float64
-                and gvals.dtype == np.float64 and b.dtype == np.float64)
-        if fast:
-            prod_buf, csum_buf, sum_buf, acc_buf = self._buffers()
-        for k in range(self.n_levels):
-            lo, hi = lp[k], lp[k + 1]
-            rows_k = rows[lo:hi]
-            s0, s1 = seg_ptr[lo], seg_ptr[hi]
-            if fast:
-                acc = acc_buf[:hi - lo]
-                np.take(b, rows_k, out=acc)
-                if s1 > s0:
-                    prod = prod_buf[:s1 - s0]
-                    np.take(x, gcols[s0:s1], out=prod)
-                    np.multiply(prod, gvals[s0:s1], out=prod)
-                    cs = csum_buf[:s1 - s0 + 1]
-                    cs[0] = 0.0
-                    np.cumsum(prod, out=cs[1:])
-                    # Per-row segment sums as cumsum differences, then
-                    # acc = b - sums (same association as segment_sum so
-                    # both paths agree bitwise).
-                    sums = sum_buf[:hi - lo]
-                    np.subtract(cs[seg_ptr[lo + 1:hi + 1] - s0],
-                                cs[seg_ptr[lo:hi] - s0], out=sums)
-                    np.subtract(acc, sums, out=acc)
-                if inv_diag is not None:
-                    np.multiply(acc, inv_diag[rows_k], out=acc)
-                x[rows_k] = acc
-                continue
-            if s1 > s0:
-                prod = gvals[s0:s1] * x[gcols[s0:s1]]
-                sums = segment_sum(prod, seg_ptr[lo:hi] - s0,
-                                   seg_ptr[lo + 1:hi + 1] - s0)
-                acc = b[rows_k] - sums
-            else:
-                acc = b[rows_k].astype(dtype, copy=True)
-            if inv_diag is not None:
-                acc = acc * inv_diag[rows_k]
-            x[rows_k] = acc
-        return x
-
-    def _solve_block(self, b: np.ndarray, out: np.ndarray | None = None
-                     ) -> np.ndarray:
-        """Multi-RHS wavefront sweep over an ``(n, B)`` block.
-
-        One batched segmented kernel per level; the inner
-        :func:`~repro.util.segment_sum` runs its float64 cumsum along
-        axis 0, so column ``j`` of the result reproduces
-        ``solve(b[:, j])`` bitwise.
-        """
-        if b.shape[0] != self.n:
-            raise ShapeError(f"b must have shape ({self.n}, B), "
-                             f"got {b.shape}")
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise ShapeError(f"b must have shape ({self.n},) or "
+                             f"({self.n}, B), got {b.shape}")
         dtype = np.result_type(self.dtype, b.dtype)
         x = out if out is not None else np.empty(b.shape, dtype=dtype)
         if x.shape != b.shape:
             raise ShapeError(f"out must have shape {b.shape}")
-        rows, seg_ptr = self._rows, self._seg_ptr
-        gcols, gvals = self._gather_cols, self._gather_vals
-        lp = self._level_ptr
-        inv_diag = self._inv_diag
-        for k in range(self.n_levels):
-            lo, hi = lp[k], lp[k + 1]
-            rows_k = rows[lo:hi]
-            s0, s1 = seg_ptr[lo], seg_ptr[hi]
-            if s1 > s0:
-                prod = gvals[s0:s1, None] * x[gcols[s0:s1], :]
-                sums = segment_sum(prod, seg_ptr[lo:hi] - s0,
-                                   seg_ptr[lo + 1:hi + 1] - s0)
-                acc = b[rows_k, :] - sums
-            else:
-                acc = b[rows_k, :].astype(dtype, copy=True)
-            if inv_diag is not None:
-                acc = acc * inv_diag[rows_k][:, None]
-            x[rows_k, :] = acc
+        # A 1-D right-hand side runs as the (n, 1) block.
+        y = (b[:, None] if b.ndim == 1 else b)[self._perm].astype(
+            dtype, copy=False)
+        width = y.shape[1]
+        prod = np.empty((self._max_nnz, width), dtype=dtype)
+        sums = np.empty((self._max_rows, width), dtype=dtype)
+        # Outputs are passed positionally and the gather skips its bounds
+        # check (the inspector built every index): per-call overhead is
+        # what a wavefront costs here.
+        mul, sub, reduceat = np.multiply, np.subtract, np.add.reduceat
+        for lo, mid, hi, k, cols, vals, offs, inv in self._levels:
+            if k:
+                p = prod[:k]
+                y.take(cols, 0, p, "clip")
+                mul(p, vals, p)
+                s = sums[:hi - mid]
+                reduceat(p, offs, 0, None, s)
+                t = y[mid:hi]
+                sub(t, s, t)
+            if inv is not None:
+                t = y[lo:hi]
+                mul(t, inv, t)
+        (x[:, None] if x.ndim == 1 else x)[self._perm] = y
         return x
 
     __call__ = solve
@@ -504,13 +450,7 @@ class PartitionedTriangularSolver:
         if kind not in ("lower", "upper"):
             raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
         n = _check_square(tri)
-        rid = np.repeat(np.arange(n, dtype=np.int64), tri.row_lengths())
-        if kind == "lower":
-            if np.any(tri.indices > rid):
-                raise NotTriangularError("entries above the diagonal")
-        else:
-            if np.any(tri.indices < rid):
-                raise NotTriangularError("entries below the diagonal")
+        _entry_rows(tri, kind)
         self.kind = kind
         self.unit_diagonal = bool(unit_diagonal)
         self.n = n
@@ -520,17 +460,7 @@ class PartitionedTriangularSolver:
         # sub-solvers then run with rtol 0 so a locally-small but
         # globally-acceptable pivot is not rejected twice.
         if not self.unit_diagonal:
-            diag, present = _summed_diag(tri)
-            if not present.all():
-                row = int(np.flatnonzero(~present)[0])
-                raise SingularFactorError(row, 0.0)
-            thr = _pivot_threshold(tri.dtype,
-                                   float(np.abs(diag).max(initial=0.0)),
-                                   pivot_rtol)
-            bad = np.abs(diag) <= thr
-            if np.any(bad):
-                row = int(np.flatnonzero(bad)[0])
-                raise _pivot_error(row, float(diag[row]), thr)
+            _checked_diag(tri, pivot_rtol)
         part = (partition if partition is not None
                 else partition_rows(tri, n_parts, kind=kind))
         if part.n != n:

@@ -209,9 +209,9 @@ class CSRMatrix:
 
         The batched SpMV of the multi-RHS solver: one gather + segmented
         sum serves all ``B`` columns.  Each column of the result is
-        bitwise identical to :meth:`matvec` on that column alone (the
-        segmented float64 cumsum performs the same additions in the same
-        order), so block solves decompose exactly into single-RHS ones.
+        bitwise identical to :meth:`matvec` on that column alone (each
+        row is summed by the same pairwise additions in every column),
+        so block solves decompose exactly into single-RHS ones.
         """
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[0] != self.n_cols:

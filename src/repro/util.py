@@ -1,8 +1,8 @@
 """Small numeric utilities shared across the package.
 
 These are the vectorized building blocks the rest of the library leans on:
-segmented reductions (the core of the per-wavefront triangular-solve kernel),
-geometric means, rank statistics, and dtype plumbing.  Everything here is pure
+segmented reductions (the row sums of the SpMV kernel), geometric means,
+rank statistics, and dtype plumbing.  Everything here is pure
 NumPy and allocation-conscious: the hot paths accept preallocated outputs.
 """
 
@@ -61,19 +61,22 @@ def segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Sum contiguous segments ``values[starts[i]:ends[i]]`` for each *i*.
 
-    Implemented with a single cumulative sum so that *empty segments are
-    handled correctly* (they yield exactly 0.0), unlike ``np.add.reduceat``
-    whose repeated-offset semantics silently return the element at the
-    offset.  This is the inner kernel of the level-scheduled triangular
-    solver: one call per wavefront sums each row's off-diagonal
-    contributions.
+    Each segment is summed on its own by ``np.add.reduceat`` (pairwise
+    summation within the segment), so a sum depends only on that
+    segment's entries and its rounding error is bounded by them, not by
+    the segments before it.  ``reduceat`` takes offsets, not
+    ``(start, end)`` pairs, and returns the element *at* the offset for
+    an empty segment, so empty segments are left out of the reduction
+    and yield exactly 0.0; segments need not be adjacent or ordered.
+    This is the row-sum kernel of :meth:`repro.sparse.CSRMatrix.matvec`
+    and ``matmat`` and of the sparse norms.
 
     Parameters
     ----------
     values:
         1-D array of addends, or a 2-D ``(len, B)`` block whose segments
         are summed along axis 0 — one batched kernel serving all ``B``
-        columns (the multi-RHS triangular sweep).
+        columns (the multi-RHS SpMV).
     starts, ends:
         Integer arrays of equal length giving segment boundaries,
         ``0 <= starts[i] <= ends[i] <= len(values)``.
@@ -82,12 +85,12 @@ def segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 
     Notes
     -----
-    The cumulative sum is taken in float64 regardless of input dtype to
-    avoid catastrophic cancellation for long prefixes, then cast back.
-    For 2-D input each column's sums are bitwise identical to the 1-D
-    call on that column alone (same additions, same order), which is
-    what lets the batched triangular solver decompose exactly into the
-    single-RHS one.
+    Sums are accumulated in float64 regardless of input dtype, then cast
+    back, so float32 input loses nothing to the accumulation.  For 2-D
+    input each column's sums are bitwise identical to the 1-D call on
+    that column alone (``reduceat`` runs the same pairwise additions
+    down every column), which is what lets the batched SpMV decompose
+    exactly into single-vector ones.
     """
     values = np.asarray(values)
     starts = np.asarray(starts, dtype=np.int64)
@@ -96,15 +99,37 @@ def segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         raise ShapeError("starts and ends must have identical shapes")
     if values.ndim not in (1, 2):
         raise ShapeError("values must be 1-D or 2-D (segments along axis 0)")
-    csum = np.empty((values.shape[0] + 1,) + values.shape[1:],
-                    dtype=np.float64)
-    csum[0] = 0.0
-    np.cumsum(values, axis=0, dtype=np.float64, out=csum[1:])
-    res = csum[ends] - csum[starts]
+    acc = values.astype(np.float64, copy=False)
+    keep = ends > starts
+    if keep.all():
+        res = _nonempty_segment_sums(acc, starts, ends)
+    else:
+        res = np.zeros(starts.shape + values.shape[1:], dtype=np.float64)
+        res[keep] = _nonempty_segment_sums(acc, starts[keep], ends[keep])
     if out is None:
         return res.astype(values.dtype, copy=False)
     out[...] = res
     return out
+
+
+def _nonempty_segment_sums(acc: np.ndarray, starts: np.ndarray,
+                           ends: np.ndarray) -> np.ndarray:
+    """Sums of the non-empty segments ``acc[starts[i]:ends[i]]``, one
+    ``np.add.reduceat`` call."""
+    if not starts.size:
+        return np.zeros((0,) + acc.shape[1:], dtype=acc.dtype)
+    if np.array_equal(starts[1:], ends[:-1]):
+        # The segments tile acc[starts[0]:ends[-1]]: one offset each,
+        # plus ends[-1] when the tiling stops short of the end.
+        bounds = (starts if ends[-1] == acc.shape[0]
+                  else np.append(starts, ends[-1]))
+        return np.add.reduceat(acc, bounds, axis=0)[:starts.size]
+    # Offsets s0, e0, s1, e1, ...: the even results are the segments,
+    # the odd ones the gaps between them.  A zero row makes an end at
+    # len(acc) a valid offset.
+    pad = np.concatenate((acc, np.zeros((1,) + acc.shape[1:], acc.dtype)))
+    return np.add.reduceat(pad, np.column_stack((starts, ends)).ravel(),
+                           axis=0)[::2]
 
 
 def segment_starts_to_lengths(starts: np.ndarray, total: int) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 The wavefront-batched numeric factorization of
 ``repro.perf.vectorized`` claims bitwise equality with the scalar IKJ
-sweep; the executor fast path claims bitwise equality with its own
-allocation-per-level slow path and tight agreement with the sequential
-substitutions.  These tests pin all three claims, property-based over
-the generators of ``test_properties``.
+sweep; the level-contiguous triangular executor claims tight agreement
+with the sequential substitutions, column-by-column bitwise equality
+between block and single right-hand sides, independence from how tight
+the level schedule is, and bitwise equality with the one-partition
+partitioned engine.  These tests pin those claims, property-based over
+the generators of ``test_properties``, through the public API only.
 """
 
 import numpy as np
@@ -13,10 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SingularFactorError, SparseFormatError
+from repro.graph import LevelSchedule
 from repro.perf import build_factor_plan, get_cache, ilu_numeric_vectorized
 from repro.perf.vectorized import (solve_lower_vectorized,
                                    solve_upper_vectorized)
-from repro.precond import (ScheduledTriangularSolver, ilu0,
+from repro.precond import (PartitionedTriangularSolver,
+                           ScheduledTriangularSolver, ilu0,
                            solve_lower_sequential, solve_upper_sequential)
 from repro.precond.ilu0 import ilu_numeric_inplace
 from repro.precond.iluk import iluk
@@ -142,41 +146,6 @@ class TestExecutorFastPath:
         x_seq = solve_lower_sequential(low, b, unit_diagonal=True)
         np.testing.assert_allclose(x_fast, x_seq, rtol=1e-9, atol=1e-9)
 
-    @staticmethod
-    def _slow_reference(solver, b):
-        """Replicates the executor's allocation-per-level branch."""
-        from repro.util import segment_sum
-
-        x = np.empty(solver.n)
-        rows, seg_ptr = solver._rows, solver._seg_ptr
-        gcols, gvals = solver._gather_cols, solver._gather_vals
-        lp = solver._level_ptr
-        inv = solver._inv_diag
-        for k in range(solver.n_levels):
-            lo, hi = lp[k], lp[k + 1]
-            rows_k = rows[lo:hi]
-            s0, s1 = seg_ptr[lo], seg_ptr[hi]
-            if s1 > s0:
-                prod = gvals[s0:s1] * x[gcols[s0:s1]]
-                sums = segment_sum(prod, seg_ptr[lo:hi] - s0,
-                                   seg_ptr[lo + 1:hi + 1] - s0)
-                acc = b[rows_k] - sums
-            else:
-                acc = b[rows_k].copy()
-            if inv is not None:
-                acc = acc * inv[rows_k]
-            x[rows_k] = acc
-        return x
-
-    @given(dense_matrix(max_n=14, lower=True), st.integers(0, 2 ** 31))
-    @settings(max_examples=40, deadline=None)
-    def test_fast_path_bitwise_equals_slow_path(self, dense, seed):
-        low = CSRMatrix.from_dense(dense)
-        b = np.random.default_rng(seed).standard_normal(low.n_rows)
-        solver = ScheduledTriangularSolver(low, kind="lower")
-        np.testing.assert_array_equal(solver.solve(b),
-                                      self._slow_reference(solver, b))
-
     def test_upper_fast_path(self, rng):
         a = stencil_poisson_2d(12)
         f = ilu0(a)
@@ -212,29 +181,160 @@ class TestExecutorFastPath:
         np.testing.assert_array_equal(out, solver.solve(b))
 
     def test_concurrent_solves_share_solver(self, rng):
-        """Thread-local scratch: concurrent solves must not interfere."""
+        """Scratch space is allocated per call, so concurrent solves on
+        one shared solver must not interfere."""
+        import sys
         import threading
 
         a = random_spd(150, density=0.04, seed=9)
         f = ilu0(a, raise_on_zero_pivot=False)
         solver = ScheduledTriangularSolver(f.lower, kind="lower",
                                            unit_diagonal=True)
-        rhss = [rng.standard_normal(a.n_rows) for _ in range(8)]
+        # Single and block right-hand sides, so the per-call buffers of
+        # concurrent calls differ in width.
+        rhss = [rng.standard_normal(a.n_rows) if i % 2
+                else rng.standard_normal((a.n_rows, 3)) for i in range(8)]
         expected = [solver.solve(b) for b in rhss]
-        got = [None] * len(rhss)
+        mismatches = []
 
         def worker(i):
-            for _ in range(20):
-                got[i] = solver.solve(rhss[i])
+            for _ in range(60):
+                if not np.array_equal(solver.solve(rhss[i]), expected[i]):
+                    mismatches.append(i)
 
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(len(rhss))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for e, g in zip(expected, got):
-            np.testing.assert_array_equal(e, g)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+
+def _oracle(tri, b, kind, unit):
+    if kind == "lower":
+        return solve_lower_sequential(tri, b, unit_diagonal=unit)
+    return solve_upper_sequential(tri, b, unit_diagonal=unit)
+
+
+@st.composite
+def wide_factor(draw):
+    """A random triangular factor of order >= 140 with one row holding
+    >= 9 and one >= 130 off-diagonal entries: ``reduceat`` copies a
+    row's first entry and adds the rest, and NumPy's add reduction
+    switches from a plain loop to eight accumulators at 8 addends and
+    to pairwise blocks above 128.  Returns ``(tri, kind, unit)``."""
+    n = draw(st.integers(140, 170))
+    kind = draw(st.sampled_from(["lower", "upper"]))
+    unit = draw(st.booleans())
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    dense = rng.standard_normal((n, n))
+    dense[rng.random((n, n)) > 0.04] = 0.0
+    r8, k8 = int(rng.integers(24, n)), int(rng.integers(9, 24))
+    dense[r8, rng.choice(r8, size=k8, replace=False)] = (
+        rng.standard_normal(k8))
+    r128 = int(rng.integers(130, n))
+    dense[r128, :r128] = rng.standard_normal(r128)
+    dense = np.tril(dense, -1)
+    # Scale rows so the substitution stays bounded in float32.
+    dense /= np.maximum((dense != 0).sum(axis=1, keepdims=True), 1)
+    np.fill_diagonal(dense, 0.0 if unit else rng.random(n) + 1.0)
+    if kind == "upper":
+        dense = dense[::-1, ::-1].copy()
+    return CSRMatrix.from_dense(dense.astype(dtype)), kind, unit
+
+
+def _loose_schedule(tri, kind, rng):
+    """A valid level schedule that is not tight: every row may sit up to
+    two levels later than its dependencies require, and the first row
+    solved always does, so levels >= 1 hold rows without off-diagonal
+    entries (and some levels may hold no rows at all)."""
+    n = tri.n_rows
+    level_of = np.zeros(n, dtype=np.int64)
+    order = range(n) if kind == "lower" else range(n - 1, -1, -1)
+    for step, i in enumerate(order):
+        cols = tri.indices[tri.indptr[i]:tri.indptr[i + 1]]
+        deps = cols[cols < i] if kind == "lower" else cols[cols > i]
+        base = int(level_of[deps].max()) + 1 if deps.size else 0
+        level_of[i] = base + int(rng.integers(0, 3)) + (step == 0)
+    counts = np.bincount(level_of)
+    level_ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=level_ptr[1:])
+    schedule = LevelSchedule(level_of=level_of,
+                             rows=np.argsort(level_of, kind="stable"),
+                             level_ptr=level_ptr)
+    schedule.validate_against(tri, kind=kind)
+    return schedule
+
+
+class TestLevelContiguousExecutor:
+    @given(wide_factor(), st.integers(1, 8), st.integers(0, 2 ** 31))
+    @settings(max_examples=30, deadline=None)
+    def test_block_columns_bitwise_equal_single_solves(self, fac, width,
+                                                        seed):
+        tri, kind, unit = fac
+        solver = ScheduledTriangularSolver(tri, kind=kind,
+                                           unit_diagonal=unit)
+        b = (np.random.default_rng(seed)
+             .standard_normal((tri.n_rows, width)).astype(tri.dtype))
+        x = solver.solve(b)
+        assert x.dtype == tri.dtype and x.shape == b.shape
+        for j in range(width):
+            # b[:, j] is a strided view; the copy is contiguous.
+            np.testing.assert_array_equal(x[:, j], solver.solve(b[:, j]))
+            np.testing.assert_array_equal(
+                x[:, j], solver.solve(np.ascontiguousarray(b[:, j])))
+        tol = 1e-3 if tri.dtype == np.float32 else 1e-10
+        np.testing.assert_allclose(x[:, 0], _oracle(tri, b[:, 0], kind, unit),
+                                   rtol=tol, atol=tol)
+
+    @given(dense_matrix(max_n=30, lower=True), st.booleans(),
+           st.booleans(), st.integers(0, 2 ** 31))
+    @settings(max_examples=60, deadline=None)
+    def test_non_tight_schedule_matches_sequential(self, dense, upper,
+                                                   unit, seed):
+        kind = "upper" if upper else "lower"
+        tri = CSRMatrix.from_dense(dense.T.copy() if upper else dense)
+        rng = np.random.default_rng(seed)
+        loose = _loose_schedule(tri, kind, rng)
+        first = 0 if kind == "lower" else tri.n_rows - 1
+        assert loose.level_of[first] >= 1
+        solver = ScheduledTriangularSolver(tri, kind=kind,
+                                           unit_diagonal=unit,
+                                           schedule=loose)
+        tight = ScheduledTriangularSolver(tri, kind=kind,
+                                          unit_diagonal=unit)
+        assert solver.n_levels == loose.n_levels
+        b = rng.standard_normal((tri.n_rows, 3))
+        x = solver.solve(b)
+        # Each row's sum runs over the same entries in the same order
+        # whatever level the row sits in.
+        np.testing.assert_array_equal(x, tight.solve(b))
+        for j in range(3):
+            np.testing.assert_allclose(x[:, j],
+                                       _oracle(tri, b[:, j], kind, unit),
+                                       rtol=1e-9, atol=1e-9)
+
+    @given(wide_factor(), st.sampled_from([0, 1, 4]),
+           st.integers(0, 2 ** 31))
+    @settings(max_examples=25, deadline=None)
+    def test_one_partition_bitwise_equals_scheduled(self, fac, width,
+                                                     seed):
+        tri, kind, unit = fac
+        shape = (tri.n_rows,) if width == 0 else (tri.n_rows, width)
+        b = np.random.default_rng(seed).standard_normal(shape)
+        part = PartitionedTriangularSolver(tri, kind=kind,
+                                           unit_diagonal=unit, n_parts=1)
+        sched = ScheduledTriangularSolver(tri, kind=kind,
+                                          unit_diagonal=unit)
+        np.testing.assert_array_equal(part.solve(b), sched.solve(b))
 
 
 class TestOneShotSubstitutions:

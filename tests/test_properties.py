@@ -4,6 +4,8 @@ Strategy helpers build random sparse matrices directly in canonical CSR
 form so shrinking stays meaningful.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +51,62 @@ def segments(draw):
     return values, bounds[:-1], bounds[1:]
 
 
+def _cancelling(rng, shape):
+    """Signed magnitudes spread log-uniformly over 1e-12..1e12, so
+    neighbouring sums differ by up to 24 orders and cancel."""
+    return (rng.choice([-1.0, 1.0], size=shape)
+            * 10.0 ** rng.uniform(-12.0, 12.0, size=shape))
+
+
+@st.composite
+def cancelling_segments(draw):
+    """Values (1-D or ``(len, B)``) and arbitrary ``(start, end)`` pairs:
+    empty, gapped, overlapping and out-of-order segments."""
+    total = draw(st.integers(0, 40))
+    k = draw(st.integers(1, 12))
+    width = draw(st.sampled_from([0, 1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    starts = rng.integers(0, total + 1, size=k)
+    ends = np.minimum(starts + rng.integers(0, 9, size=k), total)
+    shape = (total,) if width == 0 else (total, width)
+    return _cancelling(rng, shape), starts, ends
+
+
+@st.composite
+def cancelling_csr(draw):
+    """A CSR matrix with cancelling entries, about a third of its rows
+    empty (like the partitioned solver's coupling block), and a dense
+    operand of 0 (a vector) or 1-4 columns."""
+    n_rows, n_cols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    width = draw(st.sampled_from([0, 1, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    lens = rng.integers(1, min(n_cols, 12) + 1, size=n_rows)
+    lens[rng.random(n_rows) < 0.35] = 0
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(lens, out=indptr[1:])
+    indices = np.concatenate(
+        [np.sort(rng.choice(n_cols, size=k, replace=False)) for k in lens]
+        + [np.empty(0, dtype=np.int64)]).astype(np.int64)
+    a = CSRMatrix(indptr, indices, _cancelling(rng, int(indptr[-1])),
+                  (n_rows, n_cols))
+    shape = (n_cols,) if width == 0 else (n_cols, width)
+    return a, _cancelling(rng, shape)
+
+
+def assert_row_sums_near_fsum(sums, values, starts, ends):
+    """Each segment's float64 sum is within ``len · eps · Σ|v|`` of the
+    correctly rounded ``math.fsum`` — a bound that holds for any
+    summation order within the segment, and only depends on it."""
+    eps = np.finfo(np.float64).eps
+    cols = values[:, None] if values.ndim == 1 else values
+    sums = sums[:, None] if sums.ndim == 1 else sums
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        for j in range(cols.shape[1]):
+            seg = cols[s:e, j].tolist()
+            bound = (e - s) * eps * math.fsum(abs(v) for v in seg)
+            assert abs(sums[i, j] - math.fsum(seg)) <= bound, (i, j)
+
+
 # ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
@@ -72,6 +130,31 @@ class TestSegmentSumProperties:
         out = segment_sum(values, np.array([0, mid]),
                           np.array([mid, values.size]))
         assert out.sum() == pytest.approx(values.sum(), abs=1e-9)
+
+
+class TestRowSumAccuracy:
+    """Each row sum depends only on that row's entries; a difference of
+    one global prefix sum would let every earlier row add rounding."""
+
+    @given(cancelling_segments())
+    @settings(max_examples=150, deadline=None)
+    def test_segment_sum_near_fsum(self, data):
+        values, starts, ends = data
+        assert_row_sums_near_fsum(segment_sum(values, starts, ends),
+                                  values, starts, ends)
+
+    @given(cancelling_csr())
+    @settings(max_examples=150, deadline=None)
+    def test_spmv_rows_near_fsum(self, data):
+        a, x = data
+        y = a.matvec(x) if x.ndim == 1 else a.matmat(x)
+        # The kernel sums the rounded products; compare against those.
+        prods = (a.data * x[a.indices] if x.ndim == 1
+                 else a.data[:, None] * x[a.indices])
+        assert_row_sums_near_fsum(y, prods, a.indptr[:-1], a.indptr[1:])
+        if x.ndim == 2:
+            for j in range(x.shape[1]):
+                np.testing.assert_array_equal(y[:, j], a.matvec(x[:, j]))
 
 
 class TestCSRProperties:

@@ -32,6 +32,22 @@ class TestSegmentSum:
         out = segment_sum(v, np.array([0]), np.array([100]))
         assert out[0] == pytest.approx(v.sum())
 
+    def test_row_sum_independent_of_earlier_rows(self):
+        # A difference of one global prefix sum gives 3.0000000262e-9
+        # for the second row: the first row's 1e8 rounding leaks in.
+        v = np.array([1e8, -1e8 + 1, 1e-9, 2e-9])
+        out = segment_sum(v, np.array([0, 2]), np.array([2, 4]))
+        assert out[0] == 1.0
+        assert out[1] == 1e-9 + 2e-9
+
+    def test_float32_accumulates_in_float64(self):
+        # In float32, 1 - 1e8 rounds to -1e8 (the spacing there is 8),
+        # so a float32 accumulator returns 0; float64 keeps the 1.
+        v = np.array([1e8, 1.0, -1e8], dtype=np.float32)
+        out = segment_sum(v, np.array([0]), np.array([3]))
+        assert out.dtype == np.float32
+        assert out[0] == 1.0
+
     def test_float32_preserved(self):
         v = np.ones(5, dtype=np.float32)
         out = segment_sum(v, np.array([0]), np.array([5]))

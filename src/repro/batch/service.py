@@ -41,7 +41,6 @@ from ..machine.kernels import iteration_cost_batched
 from ..machine.timeline import Timeline
 from ..obs.metrics import get_metrics
 from ..perf.cache import ArtifactCache
-from ..perf.fingerprint import matrix_fingerprint
 from ..serve.request import validate_rhs, validate_x0
 from ..solvers.result import SolveResult
 from ..solvers.stopping import StoppingCriterion
@@ -157,7 +156,6 @@ class SolverService:
         self.device = device
         self.cache = cache
         self._pending: list[SolveRequest] = []
-        self._fingerprints: list[str] = []
 
     def __len__(self) -> int:
         """Number of pending (not yet flushed) requests."""
@@ -179,7 +177,6 @@ class SolverService:
         b = validate_rhs(a, b, tag=tag)
         x0 = validate_x0(a, x0, tag=tag)
         self._pending.append(SolveRequest(a=a, b=b, tag=tag, x0=x0))
-        self._fingerprints.append(matrix_fingerprint(a))
         return len(self._pending) - 1
 
     def solve(self, requests) -> BatchReport:
@@ -216,7 +213,7 @@ class SolverService:
         from ..serve.scheduler import BatchingWindow, ServeScheduler
 
         pending = self._pending
-        self._pending, self._fingerprints = [], []
+        self._pending = []
 
         sched = ServeScheduler(
             preconditioner=self.kind, k=self.k, criterion=self.criterion,

@@ -13,7 +13,7 @@ The resulting :class:`ILUFactors` carries a unit lower factor ``L``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import ShapeError, SingularFactorError, SparseFormatError
 from ..graph.levels import LevelSchedule
 from ..perf.cache import cached_level_schedule
-from ..perf.vectorized import ilu_numeric_vectorized
+from ..perf.vectorized import build_factor_plan, ilu_numeric_vectorized
 from ..sparse.csr import CSRMatrix
 from .base import Preconditioner
 from .triangular import ScheduledTriangularSolver
@@ -45,6 +45,11 @@ class ILUFactors:
     upper: CSRMatrix
     #: FLOPs performed by the numeric factorization (for the cost model).
     factor_flops: float = 0.0
+    #: The factor plan's schedule of the factored pattern's lower
+    #: triangle, which has ``lower``'s dependence graph; ``None`` when
+    #: the factors were computed without a plan.
+    plan_schedule: LevelSchedule | None = field(default=None, repr=False,
+                                                compare=False)
 
     @property
     def n(self) -> int:
@@ -57,7 +62,11 @@ class ILUFactors:
 
     @cached_property
     def lower_schedule(self) -> LevelSchedule:
-        """Wavefront schedule of the forward substitution."""
+        """Wavefront schedule of the forward substitution: the plan's
+        when there is one (the same schedule, field by field), else
+        ``lower``'s own."""
+        if self.plan_schedule is not None:
+            return self.plan_schedule
         return cached_level_schedule(self.lower, kind="lower")
 
     @cached_property
@@ -78,7 +87,9 @@ class ILUFactors:
 
 
 def _split_factored(a: CSRMatrix, fdata: np.ndarray,
-                    factor_flops: float = 0.0) -> ILUFactors:
+                    factor_flops: float = 0.0,
+                    plan_schedule: LevelSchedule | None = None
+                    ) -> ILUFactors:
     """Split an in-place factored value array on A's pattern into L and U."""
     n = a.n_rows
     rid = np.repeat(np.arange(n, dtype=np.int64), a.row_lengths())
@@ -94,7 +105,28 @@ def _split_factored(a: CSRMatrix, fdata: np.ndarray,
                          check=False)
 
     return ILUFactors(lower=take(lower_mask), upper=take(upper_mask),
-                      factor_flops=factor_flops)
+                      factor_flops=factor_flops, plan_schedule=plan_schedule)
+
+
+def _factor_pattern(a: CSRMatrix, *, raise_on_zero_pivot: bool,
+                    pivot_boost: float, numeric: str) -> ILUFactors:
+    """Numeric ILU on *a*'s fixed pattern, split into factors of
+    ``a.dtype`` — the shared tail of :func:`ilu0` and ILU(K)."""
+    schedule = None
+    if numeric == "vectorized":
+        plan = build_factor_plan(a)
+        fdata, flops = ilu_numeric_vectorized(
+            a, raise_on_zero_pivot=raise_on_zero_pivot,
+            pivot_boost=pivot_boost, plan=plan)
+        schedule = plan.schedule
+    elif numeric == "scalar":
+        fdata, flops = ilu_numeric_inplace(
+            a, raise_on_zero_pivot=raise_on_zero_pivot,
+            pivot_boost=pivot_boost)
+    else:
+        raise ValueError(f"unknown numeric mode {numeric!r}")
+    return _split_factored(a, fdata.astype(a.dtype, copy=False), flops,
+                           schedule)
 
 
 def ilu_numeric_inplace(a: CSRMatrix, *, raise_on_zero_pivot: bool = True,
@@ -200,17 +232,8 @@ def ilu0(a: CSRMatrix, *, raise_on_zero_pivot: bool = True,
     the factors back, mirroring how production codes guard the pivot
     divisions.
     """
-    if numeric == "vectorized":
-        fdata, flops = ilu_numeric_vectorized(
-            a, raise_on_zero_pivot=raise_on_zero_pivot,
-            pivot_boost=pivot_boost)
-    elif numeric == "scalar":
-        fdata, flops = ilu_numeric_inplace(
-            a, raise_on_zero_pivot=raise_on_zero_pivot,
-            pivot_boost=pivot_boost)
-    else:
-        raise ValueError(f"unknown numeric mode {numeric!r}")
-    return _split_factored(a, fdata.astype(a.dtype, copy=False), flops)
+    return _factor_pattern(a, raise_on_zero_pivot=raise_on_zero_pivot,
+                           pivot_boost=pivot_boost, numeric=numeric)
 
 
 class ILU0Preconditioner(Preconditioner):

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError, SparseFormatError
-from ..perf.vectorized import ilu_numeric_vectorized
 from ..sparse.csr import CSRMatrix
 from .base import Preconditioner
-from .ilu0 import ILUFactors, _split_factored, ilu_numeric_inplace
+from .ilu0 import ILUFactors, _factor_pattern
 from .triangular import ScheduledTriangularSolver
 
 __all__ = ["SymbolicILU", "iluk_symbolic", "iluk", "ILUKPreconditioner"]
@@ -184,19 +183,9 @@ def iluk(a: CSRMatrix, k: int, *, raise_on_zero_pivot: bool = True,
     sweep (default) or the scalar reference sweep, as in
     :func:`repro.precond.ilu0.ilu0`.
     """
-    sym = iluk_symbolic(a, k)
-    if numeric == "vectorized":
-        fdata, flops = ilu_numeric_vectorized(
-            sym.pattern, raise_on_zero_pivot=raise_on_zero_pivot,
-            pivot_boost=pivot_boost)
-    elif numeric == "scalar":
-        fdata, flops = ilu_numeric_inplace(
-            sym.pattern, raise_on_zero_pivot=raise_on_zero_pivot,
-            pivot_boost=pivot_boost)
-    else:
-        raise ValueError(f"unknown numeric mode {numeric!r}")
-    return _split_factored(sym.pattern, fdata.astype(a.dtype, copy=False),
-                           flops)
+    return _factor_pattern(iluk_symbolic(a, k).pattern,
+                           raise_on_zero_pivot=raise_on_zero_pivot,
+                           pivot_boost=pivot_boost, numeric=numeric)
 
 
 class ILUKPreconditioner(Preconditioner):

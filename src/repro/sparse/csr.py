@@ -34,7 +34,7 @@ class CSRMatrix:
         When ``True`` (default) validate the format invariants.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape")
+    __slots__ = ("indptr", "indices", "data", "shape", "_rows_nonempty")
 
     def __init__(self, indptr, indices, data, shape: tuple[int, int], *,
                  check: bool = True):
@@ -44,6 +44,7 @@ class CSRMatrix:
         if len(shape) != 2 or shape[0] < 0 or shape[1] < 0:
             raise ShapeError(f"invalid shape {shape!r}")
         self.shape = (int(shape[0]), int(shape[1]))
+        self._rows_nonempty: bool | None = None
         if check:
             self.check_format()
 
@@ -185,45 +186,71 @@ class CSRMatrix:
                          self.data.astype(dtype), self.shape, check=False)
 
     # -- numeric kernels ---------------------------------------------------
+    def _spmv(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """Row sums of ``data * x[indices]`` for a 1-D or ``(n, B)`` *x*.
+
+        One ``take`` gather, one in-place multiply and one
+        ``np.add.reduceat`` over the row offsets ``indptr[:-1]``.  Those
+        are valid ``reduceat`` offsets only when every row stores an
+        entry; the check runs on the first product and is kept (the
+        pattern is never mutated in place; only ``data`` is).  A matrix
+        with an empty row goes through :func:`~repro.util.segment_sum`,
+        whose masking keeps ``reduceat`` off empty segments.  Scratch is
+        allocated per call: cached matrices are shared across threads.
+        """
+        if self._rows_nonempty is None:
+            self._rows_nonempty = bool(self.n_rows) and bool(
+                (self.indptr[1:] > self.indptr[:-1]).all())
+        dtype = np.result_type(self.data.dtype, x.dtype)
+        prod = x.take(self.indices, 0)
+        data = self.data if x.ndim == 1 else self.data[:, None]
+        prod = np.multiply(prod, data,
+                           out=prod if prod.dtype == dtype else None)
+        if self._rows_nonempty:
+            # float32 products are summed in float64, as segment_sum does.
+            y = np.add.reduceat(prod.astype(np.float64, copy=False),
+                                self.indptr[:-1], axis=0)
+        else:
+            y = segment_sum(prod, self.indptr[:-1], self.indptr[1:])
+        y = y.astype(dtype, copy=False)
+        if out is None:
+            return y
+        out[...] = y
+        return out
+
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Sparse matrix–vector product ``y = A @ x``.
 
-        Vectorized as a gather + segmented sum; this is the SpMV kernel on
-        line 9 of Algorithm 1.
+        The SpMV kernel on line 9 of Algorithm 1: a ``take`` gather of
+        ``x``, an in-place multiply by the values and one
+        ``np.add.reduceat`` over the row offsets, summing each row on its
+        own.  float32 products are accumulated in float64 and the sums
+        cast to ``result_type(A, x)``; a given ``out`` receives them with
+        NumPy's assignment cast.
         """
         x = np.asarray(x)
         if x.shape != (self.n_cols,):
             raise ShapeError(
                 f"x must have shape ({self.n_cols},), got {x.shape}")
-        prod = self.data * x[self.indices]
-        y = segment_sum(prod, self.indptr[:-1], self.indptr[1:])
-        y = y.astype(np.result_type(self.data.dtype, x.dtype), copy=False)
-        if out is None:
-            return y
-        out[...] = y
-        return out
+        return self._spmv(x, out)
 
     def matmat(self, x: np.ndarray, out: np.ndarray | None = None
                ) -> np.ndarray:
         """Sparse matrix–dense block product ``Y = A @ X``, ``X`` (n, B).
 
-        The batched SpMV of the multi-RHS solver: one gather + segmented
-        sum serves all ``B`` columns.  Each column of the result is
-        bitwise identical to :meth:`matvec` on that column alone (each
-        row is summed by the same pairwise additions in every column),
-        so block solves decompose exactly into single-RHS ones.
+        The batched SpMV of the multi-RHS solver: one gather, multiply
+        and row reduction serve all ``B`` columns, whatever the memory
+        layout of ``X`` (the gather returns a C-ordered block).  Each
+        column of the result is bitwise identical to :meth:`matvec` on
+        that column alone (``reduceat`` runs the same additions down
+        every column), so block solves decompose exactly into
+        single-RHS ones.
         """
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[0] != self.n_cols:
             raise ShapeError(
                 f"x must have shape ({self.n_cols}, B), got {x.shape}")
-        prod = self.data[:, None] * x[self.indices, :]
-        y = segment_sum(prod, self.indptr[:-1], self.indptr[1:])
-        y = y.astype(np.result_type(self.data.dtype, x.dtype), copy=False)
-        if out is None:
-            return y
-        out[...] = y
-        return out
+        return self._spmv(x, out)
 
     def __matmul__(self, x):
         if isinstance(x, np.ndarray) and x.ndim == 1:

@@ -15,15 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SingularFactorError, SparseFormatError
-from repro.graph import LevelSchedule
-from repro.perf import build_factor_plan, get_cache, ilu_numeric_vectorized
+from repro.graph import LevelSchedule, level_schedule
+from repro.perf import (ArtifactCache, build_factor_plan, get_cache,
+                        ilu_numeric_vectorized)
 from repro.perf.vectorized import (solve_lower_vectorized,
                                    solve_upper_vectorized)
 from repro.precond import (PartitionedTriangularSolver,
                            ScheduledTriangularSolver, ilu0,
                            solve_lower_sequential, solve_upper_sequential)
 from repro.precond.ilu0 import ilu_numeric_inplace
-from repro.precond.iluk import iluk
+from repro.precond.iluk import iluk, iluk_symbolic
 from repro.sparse import CSRMatrix, random_spd, stencil_poisson_2d
 
 from test_properties import dense_matrix
@@ -101,6 +102,177 @@ class TestVectorizedILUEquivalence:
                                        raise_on_zero_pivot=False)
         f2, _ = ilu_numeric_inplace(spd_random, raise_on_zero_pivot=False)
         np.testing.assert_array_equal(f1, f2)
+
+
+@st.composite
+def factor_pattern(draw, max_n=24):
+    """A strictly diagonally dominant matrix on a random SPD pattern,
+    with two kinds of rows the compiled elimination must handle: rows
+    with no lower entry, and pivot rows whose upper part is empty while
+    later rows still eliminate through them.  float32 or float64."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    off = rng.standard_normal((n, n))
+    off[rng.random((n, n)) > draw(st.floats(0.05, 0.6))] = 0.0
+    off = np.tril(off, -1)
+    off = off + off.T
+    below = np.tri(n, k=-1, dtype=bool)
+    bare = rng.random(n) < draw(st.floats(0.0, 0.4))
+    off[bare[:, None] & below] = 0.0
+    flat = rng.random(n) < draw(st.floats(0.0, 0.4))
+    off[flat[:, None] & below.T] = 0.0
+    np.fill_diagonal(off, np.abs(off).sum(axis=1) + 1.0)
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return CSRMatrix.from_dense(off.astype(dtype))
+
+
+def _with_zero_pivot(a, draw_index):
+    """Copy of *a* whose row ``r`` pivot is exactly zero after
+    elimination, and ``r``: a row whose diagonal receives at most one
+    update gets the stored diagonal that update cancels exactly (0.0
+    when there is none).  Rows before ``r`` and rows not depending on
+    it keep their (nonzero) pivots."""
+    fs, _ = ilu_numeric_inplace(a)
+    rows = []
+    for i in range(a.n_rows):
+        cols = a.indices[a.indptr[i]:a.indptr[i + 1]]
+        through = [k for k in cols[cols < i]
+                   if i in a.indices[a.indptr[k]:a.indptr[k + 1]]]
+        if len(through) <= 1:
+            rows.append((i, through))
+    r, through = rows[draw_index(len(rows))]
+    lo = a.indptr[r]
+    diag = lo + int(np.searchsorted(a.indices[lo:a.indptr[r + 1]], r))
+    value = 0.0
+    if through:
+        k = through[0]
+        p_rk = lo + int(np.searchsorted(a.indices[lo:a.indptr[r + 1]], k))
+        klo = a.indptr[k]
+        p_kr = klo + int(np.searchsorted(a.indices[klo:a.indptr[k + 1]], r))
+        # What the sweep subtracts from the diagonal: a_rk * U[k, r].
+        value = fs[p_rk] * fs[p_kr]
+    data = a.data.astype(np.float64)
+    data[diag] = value
+    return CSRMatrix(a.indptr, a.indices, data, a.shape, check=False), r
+
+
+def _assert_replay_bitwise(pattern, **kw):
+    fs, fls = ilu_numeric_inplace(pattern, **kw)
+    fv, flv = ilu_numeric_vectorized(pattern, **kw)
+    assert fv.dtype == fs.dtype == np.float64
+    np.testing.assert_array_equal(fv.view(np.uint64), fs.view(np.uint64))
+    assert flv == fls
+
+
+class TestCompiledElimination:
+    """The replay of a compiled plan against the scalar IKJ oracle:
+    factors compared bit for bit (signed zeros included), flop counts
+    exactly."""
+
+    @given(factor_pattern())
+    @settings(max_examples=80, deadline=None)
+    def test_ilu0_replay_bitwise(self, a):
+        _assert_replay_bitwise(a)
+
+    @given(factor_pattern(max_n=18), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_iluk_replay_bitwise(self, a, k):
+        _assert_replay_bitwise(iluk_symbolic(a, k).pattern)
+        fv = iluk(a, k)
+        fs = iluk(a, k, numeric="scalar")
+        for side in ("lower", "upper"):
+            np.testing.assert_array_equal(getattr(fv, side).data,
+                                          getattr(fs, side).data)
+        assert fv.factor_flops == fs.factor_flops
+        assert fv.lower.dtype == a.dtype
+
+    @given(factor_pattern(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_pivot_same_row_and_boost(self, a, data):
+        z, r = _with_zero_pivot(
+            a, lambda m: data.draw(st.integers(0, m - 1)))
+        with pytest.raises(SingularFactorError) as scalar:
+            ilu_numeric_inplace(z)
+        with pytest.raises(SingularFactorError) as replay:
+            ilu_numeric_vectorized(z)
+        assert scalar.value.row == replay.value.row == r
+        for boost in (1e-8, 1e-3):
+            _assert_replay_bitwise(z, raise_on_zero_pivot=False,
+                                   pivot_boost=boost)
+
+    @given(factor_pattern())
+    @settings(max_examples=40, deadline=None)
+    def test_explicit_plan_agrees_with_cached(self, a):
+        cached = build_factor_plan(a)
+        fresh = build_factor_plan(a, cache=ArtifactCache())
+        assert fresh is not cached and fresh.flops == cached.flops
+        assert len(fresh.levels) == len(cached.levels)
+        for (d1, s1), (d2, s2) in zip(fresh.levels, cached.levels):
+            np.testing.assert_array_equal(d1, d2)
+            assert len(s1) == len(s2)
+            for x, y in zip(s1, s2):
+                for u, v in zip(x, y):
+                    assert (u is None) == (v is None)
+                    if u is not None:
+                        np.testing.assert_array_equal(u, v)
+        f1, fl1 = ilu_numeric_vectorized(a, plan=fresh)
+        f2, fl2 = ilu_numeric_vectorized(a, plan=cached)
+        np.testing.assert_array_equal(f1.view(np.uint64),
+                                      f2.view(np.uint64))
+        assert fl1 == fl2
+
+    def test_plan_arrays_read_only(self, spd_random):
+        plan = build_factor_plan(spd_random)
+        diagonals, steps = plan.levels[-1]
+        for arr in (diagonals, *steps[0]):
+            if arr is not None:
+                assert not arr.flags.writeable
+
+
+def _assert_same_schedule(got, want):
+    for name in ("level_of", "rows", "level_ptr"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+class TestScheduleReuse:
+    """ILU(0)/ILU(K) factors take the plan's lower schedule instead of
+    scheduling their strictly-lower factor again."""
+
+    @given(factor_pattern())
+    @settings(max_examples=40, deadline=None)
+    def test_ilu0_lower_schedule_is_the_factors(self, a):
+        f = ilu0(a)
+        assert f.lower_schedule is build_factor_plan(a).schedule
+        _assert_same_schedule(f.lower_schedule, level_schedule(f.lower))
+
+    @given(factor_pattern(max_n=18), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_iluk_lower_schedule_is_the_factors(self, a, k):
+        f = iluk(a, k)
+        _assert_same_schedule(f.lower_schedule, level_schedule(f.lower))
+
+    def test_scalar_factors_schedule_their_lower_factor(self, spd_random):
+        f = ilu0(spd_random, numeric="scalar")
+        assert f.plan_schedule is None
+        _assert_same_schedule(f.lower_schedule, level_schedule(f.lower))
+
+    def test_fresh_spcg_builds_three_schedules(self):
+        from repro import spcg
+        from repro.datasets import load
+
+        a = load("thermal_900_s100")
+        spcg(a, a.matvec(np.ones(a.n_rows)))
+        stats = get_cache().stats
+        # lower(A) and lower(Â) in Algorithm 2, then upper(U); the
+        # forward sweep reuses lower(Â)'s.
+        assert stats.misses_by_kind["level_schedule"] == 3
+
+    def test_bare_ilu0_builds_two_schedules(self, spd_random):
+        f = ilu0(spd_random)
+        assert f.total_levels > 0
+        assert get_cache().stats.misses_by_kind["level_schedule"] == 2
 
 
 class TestFactoryNumericModes:

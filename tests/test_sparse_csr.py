@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ShapeError, SparseFormatError
 from repro.sparse import COOMatrix, CSRMatrix
+from repro.util import segment_sum
 
 sp = pytest.importorskip("scipy.sparse")
 
@@ -102,6 +104,96 @@ class TestMatvec:
         y = a.matvec(x)
         assert y.dtype == np.float32
         np.testing.assert_allclose(y, a.to_dense() @ x, rtol=1e-5)
+
+
+@st.composite
+def spmv_case(draw):
+    """A CSR matrix with empty rows where asked (leading, interior,
+    trailing), one row long enough for ``reduceat``'s unrolled and
+    pairwise paths, values spread over 24 orders of magnitude so any
+    change of summation order or accumulator precision shows, and its
+    value and ``x`` dtypes drawn independently."""
+    n_rows = draw(st.integers(1, 30))
+    n_cols = draw(st.integers(1, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    dense = (rng.choice([-1.0, 1.0], size=(n_rows, n_cols))
+             * 10.0 ** rng.uniform(-12.0, 12.0, size=(n_rows, n_cols)))
+    dense[rng.random((n_rows, n_cols)) > draw(st.floats(0.05, 0.5))] = 0.0
+    dense[int(rng.integers(n_rows))] = rng.standard_normal(n_cols)
+    empty = draw(st.sets(st.sampled_from(["leading", "interior",
+                                          "trailing"])))
+    if "leading" in empty:
+        dense[0] = 0.0
+    if "interior" in empty and n_rows > 2:
+        dense[int(rng.integers(1, n_rows - 1))] = 0.0
+    if "trailing" in empty:
+        dense[-1] = 0.0
+    a = CSRMatrix.from_dense(
+        dense.astype(draw(st.sampled_from([np.float32, np.float64]))))
+    x_dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return a, x_dtype, rng
+
+
+def _reference_spmv(a, x):
+    """The kernel's specification: gather, multiply, checked
+    ``segment_sum``, cast to the product's result type."""
+    prod = (a.data if x.ndim == 1 else a.data[:, None]) * x[a.indices]
+    return segment_sum(prod, a.indptr[:-1], a.indptr[1:]).astype(
+        np.result_type(a.data.dtype, x.dtype), copy=False)
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(want).tobytes())
+
+
+class TestLeanSpMV:
+    """``matvec``/``matmat`` against the reference SpMV, bit for bit."""
+
+    @given(spmv_case())
+    @settings(max_examples=80, deadline=None)
+    def test_matvec_bitwise(self, case):
+        a, x_dtype, rng = case
+        x = rng.standard_normal(a.n_cols).astype(x_dtype)
+        want = _reference_spmv(a, x)
+        _assert_bitwise(a.matvec(x), want)
+        # A strided column of a wider block.
+        wide = rng.standard_normal((a.n_cols, 3)).astype(x_dtype)
+        _assert_bitwise(a.matvec(wide[:, 1]),
+                        _reference_spmv(a, wide[:, 1].copy()))
+        for out_dtype in (np.float32, np.float64):
+            out = np.full(a.n_rows, np.nan, dtype=out_dtype)
+            assert a.matvec(x, out=out) is out
+            _assert_bitwise(out, want.astype(out_dtype))
+
+    @given(spmv_case(), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matmat_bitwise(self, case, width):
+        a, x_dtype, rng = case
+        block = rng.standard_normal((a.n_cols, width)).astype(x_dtype)
+        want = _reference_spmv(a, block)
+        _assert_bitwise(a.matmat(block), want)
+        _assert_bitwise(a.matmat(np.asfortranarray(block)), want)
+        wide = rng.standard_normal((a.n_cols, 2 * width)).astype(x_dtype)
+        _assert_bitwise(a.matmat(wide[:, ::2]),
+                        _reference_spmv(a, wide[:, ::2].copy()))
+        y = a.matmat(block)
+        for j in range(width):
+            _assert_bitwise(y[:, j], a.matvec(block[:, j]))
+        for out_dtype in (np.float32, np.float64):
+            out = np.full((a.n_rows, width), np.nan, dtype=out_dtype)
+            assert a.matmat(block, out=out) is out
+            _assert_bitwise(out, want.astype(out_dtype))
+
+    def test_all_rows_empty_and_no_rows(self):
+        a = CSRMatrix(np.zeros(4, dtype=np.int64), np.array([], dtype=int),
+                      np.array([]), (3, 5))
+        _assert_bitwise(a.matvec(np.ones(5)), np.zeros(3))
+        _assert_bitwise(a.matmat(np.ones((5, 2))), np.zeros((3, 2)))
+        b = CSRMatrix(np.zeros(1, dtype=np.int64), np.array([], dtype=int),
+                      np.array([]), (0, 4))
+        _assert_bitwise(b.matvec(np.ones(4)), np.zeros(0))
 
 
 class TestTransforms:

@@ -53,6 +53,7 @@ from .errors import (
     NotSymmetricError,
     NotTriangularError,
     ReproError,
+    ScheduleError,
     ShapeError,
     SingularFactorError,
     SparseFormatError,
@@ -138,7 +139,7 @@ __all__ = [
     "SingularFactorError", "NotSymmetricError", "NotPositiveDefiniteError",
     "ConvergenceError", "MatrixMarketError", "DatasetError",
     "DeviceModelError", "InvalidCriterionError", "AbortSolve",
-    "SuiteWorkerError",
+    "SuiteWorkerError", "ScheduleError",
     # sparse
     "COOMatrix", "CSRMatrix", "CSCMatrix", "eye", "diags", "random_spd",
     "stencil_poisson_1d", "stencil_poisson_2d", "stencil_poisson_3d",

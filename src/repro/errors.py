@@ -12,6 +12,7 @@ __all__ = [
     "ShapeError",
     "SparseFormatError",
     "NotTriangularError",
+    "ScheduleError",
     "SingularFactorError",
     "NotSymmetricError",
     "NotPositiveDefiniteError",
@@ -47,6 +48,16 @@ class SparseFormatError(ReproError, ValueError):
 
 class NotTriangularError(ReproError, ValueError):
     """A matrix expected to be (lower/upper) triangular is not."""
+
+
+class ScheduleError(ReproError, ValueError):
+    """A wavefront schedule does not fit the triangular matrix it was
+    given for: a row is missing or repeated, or an entry depends on a
+    row that is not in a strictly earlier wavefront."""
+
+    def __init__(self, row: int, message: str):
+        self.row = int(row)
+        super().__init__(message)
 
 
 class SingularFactorError(ReproError, ArithmeticError):

@@ -79,9 +79,11 @@ class LevelSchedule:
     def validate_against(self, tri: CSRMatrix, *, kind: str = "lower") -> None:
         """Assert the schedule respects every dependence of *tri*.
 
-        Used by tests and by the solver's optional paranoia mode: every
-        off-diagonal entry ``T[i, j]`` must satisfy
-        ``level_of[j] < level_of[i]``.
+        Used by tests: every off-diagonal entry ``T[i, j]`` must satisfy
+        ``level_of[j] < level_of[i]``.  The level-scheduled solver makes
+        the same check, on the levels its ``rows``/``level_ptr`` layout
+        assigns, whenever it is built, and raises
+        :class:`~repro.errors.ScheduleError` instead.
         """
         n = tri.n_rows
         rows = np.repeat(np.arange(n, dtype=np.int64), tri.row_lengths())

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NotTriangularError, ShapeError, SingularFactorError
+from ..errors import (NotTriangularError, ScheduleError, ShapeError,
+                      SingularFactorError)
 from ..graph.levels import LevelSchedule, level_schedule
 from ..graph.partition import RowPartition, partition_rows, split_partition
 from ..sparse.csr import CSRMatrix
@@ -230,7 +231,11 @@ class ScheduledTriangularSolver:
         of LU.
     schedule:
         Optional precomputed :class:`LevelSchedule` (the inspector result)
-        to reuse; computed on construction otherwise.
+        to reuse; computed on construction otherwise.  It must list
+        every row once and put each row in a strictly later wavefront
+        than every row it depends on (it need not be tight);
+        :class:`~repro.errors.ScheduleError` names the first row that
+        breaks this.
     pivot_rtol:
         Relative pivot-rejection tolerance (``None`` = the factor
         dtype's eps); see :data:`_PIVOT_RTOL`.
@@ -238,13 +243,15 @@ class ScheduledTriangularSolver:
     Notes
     -----
     Construction performs the inspector work once.  It permutes the rows
-    into schedule order -- within each wavefront, rows without an
-    off-diagonal entry first -- and renumbers the off-diagonal columns to
-    match, so wavefront *k* is the contiguous slice
-    ``level_ptr[k]:level_ptr[k+1]`` of the permuted solution and its
-    entries form one contiguous run.  :meth:`solve` then runs at most
-    five NumPy calls per wavefront on read-only per-level views.  The
-    per-level row and nonzero counts are exposed via
+    into schedule order, so wavefront *k* is the contiguous slice
+    ``level_ptr[k]:level_ptr[k+1]`` of the permuted solution, and folds
+    the diagonal into the coefficients: row *i* becomes one segment,
+    its own entry (coefficient ``1/d_i``, or 1 for a unit diagonal)
+    followed by its off-diagonal entries (coefficients ``-t_ij/d_i``),
+    with columns renumbered to permuted positions, so that
+    ``x_i = (1/d_i)·b_i + Σ_j (-t_ij/d_i)·x_j`` is one segmented sum.
+    :meth:`solve` then makes exactly three NumPy calls per wavefront.
+    The per-level row and nonzero counts are exposed via
     :meth:`kernel_profile` for the machine model.
     """
 
@@ -268,55 +275,66 @@ class ScheduledTriangularSolver:
             raise ShapeError("schedule size does not match matrix order")
 
         rid = _entry_rows(tri, kind)
-        cols = tri.indices
-        off_mask = cols < rid if kind == "lower" else cols > rid
-        inv_diag = (None if self.unit_diagonal else
-                    (1.0 / _checked_diag(tri, pivot_rtol)).astype(tri.dtype))
+        off = np.flatnonzero(tri.indices < rid if kind == "lower"
+                             else tri.indices > rid)
+        rows, cols = rid[off], tri.indices[off]
+        diag = None if self.unit_diagonal else _checked_diag(tri, pivot_rtol)
 
-        # Schedule order, rows without off-diagonal entries first within
-        # each wavefront: a stable sort of the schedule by that key.
+        # perm[p] is the row solved at position p; pos inverts it.
         lp = self.schedule.level_ptr
         sizes = np.diff(lp)
-        n_levels = sizes.shape[0]
-        off = np.flatnonzero(off_mask)
-        off_counts = np.bincount(rid[off], minlength=n)
-        sched_rows = self.schedule.rows
-        has_off = off_counts[sched_rows] > 0
-        level = np.repeat(np.arange(n_levels, dtype=np.int64), sizes)
-        perm = sched_rows[np.argsort(2 * level + has_off, kind="stable")]
-        pos = np.empty(n, dtype=np.int64)
-        pos[perm] = np.arange(n, dtype=np.int64)
+        perm = self.schedule.rows.astype(np.int64)
+        pos = np.full(n, -1, dtype=np.int64)
+        if perm.shape == (n,) and lp[0] == 0 and lp[-1] == n:
+            pos[perm] = np.arange(n, dtype=np.int64)
+        missing = pos < 0
+        if missing.any():
+            row = int(np.argmax(missing))
+            raise ScheduleError(row, f"schedule does not list row {row} "
+                                     f"exactly once")
+        level = np.repeat(np.arange(sizes.shape[0], dtype=np.int64),
+                          sizes)[pos]
+        early = level[cols] < level[rows]
+        if not early.all():
+            row = int(rows[np.argmin(early)])
+            raise ScheduleError(row, f"row {row} is not in a later "
+                                     f"wavefront than a row it depends on")
 
-        # Off-diagonal entries row by row in permuted order, columns
-        # renumbered to permuted positions.
-        lens = off_counts[perm]
+        # One segment per row in schedule order: the row's own entry,
+        # then its off-diagonal entries in stored order.  An entry's slot
+        # is its row's segment start, plus one, plus its rank in the row.
+        counts = np.bincount(rows, minlength=n)
         seg = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=seg[1:])
-        off_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(off_counts, out=off_ptr[1:])
-        take = off[np.repeat(off_ptr[perm] - seg[:-1], lens)
-                   + np.arange(seg[-1], dtype=np.int64)]
-        gcols = pos[cols[take]]
-        gvals = tri.data[take][:, None]
-        # First row with entries in each wavefront, and each such row's
-        # segment start relative to the wavefront's first entry.
-        mid = lp[:-1] + np.bincount(level[~has_off], minlength=n_levels)
-        rel = seg[:-1] - np.repeat(seg[mid], sizes)
-        inv = inv_diag[perm][:, None] if inv_diag is not None else None
-        for arr in (perm, gcols, gvals, rel, inv):
-            if arr is not None:
-                arr.flags.writeable = False
+        np.cumsum(counts[perm] + 1, out=seg[1:])
+        own = seg[:-1]
+        shift = own[pos] + 1 - (np.cumsum(counts) - counts)
+        slot = shift[rows] + np.arange(rows.shape[0], dtype=np.int64)
+        gcols = np.empty(seg[-1], dtype=np.int64)
+        gcols[own] = np.arange(n, dtype=np.int64)
+        gcols[slot] = pos[cols]
+        # Quotients are taken in float64, against the float64 summed
+        # diagonal, and stored in the factor dtype: a float64 factor's
+        # coefficients are each rounded once.
+        coef = np.empty(seg[-1], dtype=tri.dtype)
+        if diag is None:
+            coef[own] = 1
+            coef[slot] = -tri.data[off]
+        else:
+            coef[own] = 1.0 / diag[perm]
+            coef[slot] = -tri.data[off] / diag[rows]
+        # Each row's segment start relative to its wavefront's first entry.
+        rel = own - np.repeat(own[lp[:-1]], sizes)
+        for arr in (perm, gcols, coef, rel):
+            arr.flags.writeable = False
         self._perm = perm
+        self._coef = coef
         self._level_nnz = seg[lp[1:]] - seg[lp[:-1]]
-        self._max_rows = int(sizes.max(initial=0))
         self._max_nnz = int(self._level_nnz.max(initial=0))
         self._levels = [
-            (lo, m, hi, s1 - s0, gcols[s0:s1], gvals[s0:s1], rel[m:hi],
-             None if inv is None else inv[lo:hi])
-            for lo, m, hi, s0, s1 in zip(lp[:-1].tolist(), mid.tolist(),
-                                         lp[1:].tolist(),
-                                         seg[mid].tolist(),
-                                         seg[lp[1:]].tolist())]
+            (lo, hi, s0, s1, gcols[s0:s1], coef[s0:s1], rel[lo:hi])
+            for lo, hi, s0, s1 in zip(lp[:-1].tolist(), lp[1:].tolist(),
+                                      seg[lp[:-1]].tolist(),
+                                      seg[lp[1:]].tolist())]
 
     # ------------------------------------------------------------------
     @property
@@ -332,7 +350,7 @@ class ScheduledTriangularSolver:
     @property
     def nnz(self) -> int:
         """Stored off-diagonal entries plus diagonal contributions."""
-        return int(self._level_nnz.sum()) + self.n
+        return int(self._level_nnz.sum())
 
     def kernel_profile(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-level ``(rows, nnz)`` arrays for the machine cost model.
@@ -340,8 +358,7 @@ class ScheduledTriangularSolver:
         ``nnz`` counts the off-diagonal entries gathered in each level plus
         one diagonal operation per row.
         """
-        rows_per_level = np.diff(self.schedule.level_ptr)
-        return rows_per_level, self._level_nnz + rows_per_level
+        return np.diff(self.schedule.level_ptr), self._level_nnz.copy()
 
     # ------------------------------------------------------------------
     def solve(self, b: np.ndarray, out: np.ndarray | None = None
@@ -350,13 +367,15 @@ class ScheduledTriangularSolver:
 
         One sweep over the wavefronts serves every column: the
         right-hand side is permuted into schedule order once, each
-        wavefront gathers its rows' off-diagonal products, sums them per
-        row with ``np.add.reduceat``, subtracts and scales on a
-        contiguous slice, and the result is scattered back once.  The
-        per-level barriers are paid once per sweep, not once per column,
-        and column ``j`` of a block solve is bitwise identical to the
-        single-RHS solve of ``b[:, j]``.  Scratch space is allocated per
-        call, so one solver serves concurrent callers.
+        wavefront gathers its segments' operands (the right-hand side of
+        each of its rows and the solutions of earlier levels),
+        multiplies them by the folded coefficients and sums each segment
+        with ``np.add.reduceat`` straight into its slice of the
+        solution, and the result is scattered back once.  The per-level barriers
+        are paid once per sweep, not once per column, and column ``j``
+        of a block solve is bitwise identical to the single-RHS solve
+        of ``b[:, j]``.  Scratch space is allocated per call, so one
+        solver serves concurrent callers.
         """
         b = np.asarray(b)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
@@ -366,29 +385,24 @@ class ScheduledTriangularSolver:
         x = out if out is not None else np.empty(b.shape, dtype=dtype)
         if x.shape != b.shape:
             raise ShapeError(f"out must have shape {b.shape}")
-        # A 1-D right-hand side runs as the (n, 1) block.
-        y = (b[:, None] if b.ndim == 1 else b)[self._perm].astype(
-            dtype, copy=False)
-        width = y.shape[1]
-        prod = np.empty((self._max_nnz, width), dtype=dtype)
-        sums = np.empty((self._max_rows, width), dtype=dtype)
+        y = b[self._perm].astype(dtype, copy=False)
+        block = None
+        if b.ndim == 2:
+            # A contiguous (nnz, B) coefficient block: multiplying by a
+            # broadcast (k, 1) column costs several times as much.
+            block = np.empty((self._coef.shape[0], b.shape[1]), dtype=dtype)
+            block[...] = self._coef[:, None]
+        prod = np.empty((self._max_nnz,) + b.shape[1:], dtype=dtype)
         # Outputs are passed positionally and the gather skips its bounds
         # check (the inspector built every index): per-call overhead is
         # what a wavefront costs here.
-        mul, sub, reduceat = np.multiply, np.subtract, np.add.reduceat
-        for lo, mid, hi, k, cols, vals, offs, inv in self._levels:
-            if k:
-                p = prod[:k]
-                y.take(cols, 0, p, "clip")
-                mul(p, vals, p)
-                s = sums[:hi - mid]
-                reduceat(p, offs, 0, None, s)
-                t = y[mid:hi]
-                sub(t, s, t)
-            if inv is not None:
-                t = y[lo:hi]
-                mul(t, inv, t)
-        (x[:, None] if x.ndim == 1 else x)[self._perm] = y
+        mul, reduceat = np.multiply, np.add.reduceat
+        for lo, hi, s0, s1, cols, coef, offs in self._levels:
+            p = prod[:s1 - s0]
+            y.take(cols, 0, p, "clip")
+            mul(p, coef if block is None else block[s0:s1], p)
+            reduceat(p, offs, 0, None, y[lo:hi])
+        x[self._perm] = y
         return x
 
     __call__ = solve

@@ -7,8 +7,9 @@ import repro
 from repro.errors import (ConvergenceError, DatasetError, DeviceModelError,
                           FillLimitExceeded, MatrixMarketError,
                           NotPositiveDefiniteError, NotSymmetricError,
-                          NotTriangularError, ReproError, ShapeError,
-                          SingularFactorError, SparseFormatError)
+                          NotTriangularError, ReproError, ScheduleError,
+                          ShapeError, SingularFactorError,
+                          SparseFormatError)
 from repro.sparse import CSCMatrix
 
 from conftest import random_csr
@@ -54,7 +55,7 @@ class TestCSC:
 
 class TestErrorHierarchy:
     ALL = [ShapeError, SparseFormatError, NotTriangularError,
-           SingularFactorError, NotSymmetricError,
+           ScheduleError, SingularFactorError, NotSymmetricError,
            NotPositiveDefiniteError, ConvergenceError, MatrixMarketError,
            DatasetError, DeviceModelError, FillLimitExceeded]
 

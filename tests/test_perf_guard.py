@@ -14,7 +14,8 @@ import pytest
 
 from repro.perf import (ArtifactCache, build_factor_plan, get_cache,
                         ilu_numeric_vectorized)
-from repro.precond import ScheduledTriangularSolver, solve_lower_sequential
+from repro.precond import (ScheduledTriangularSolver, solve_lower_sequential,
+                           solve_upper_sequential)
 from repro.precond.ilu0 import ilu0, ilu_numeric_inplace
 from repro.sparse import stencil_poisson_2d
 from repro.util import segment_sum
@@ -150,11 +151,16 @@ class TestCacheAmortizationGuard:
 class TestWavefrontSweepGuard:
     """The level-contiguous sweep against the row-by-row oracle, both
     timed here, so the ratio does not depend on the host's speed.  On
-    the 99 wavefronts of the guard matrix's forward ILU(0) factor the
-    five-call wavefront measures x24-25 (one right-hand side) and
-    x109-113 (eight) on 2 vCPUs of a 2.0 GHz Xeon; an executor spending
-    about a dozen NumPy calls per wavefront measures x6-8 and x33-39,
-    which the thresholds reject."""
+    the 99 wavefronts of each of the guard matrix's ILU(0) factors, on 2
+    vCPUs of a 2.1 GHz Xeon, the three-call wavefront measures x31-33
+    (one right-hand side) and x103-117 (eight) on the unit forward
+    factor, and x65-70 and x234-267 on the non-unit backward factor
+    (best of 15 alternating rounds).  The five-call wavefront it
+    replaced, which subtracted and scaled after the row sums, measures
+    x24-32, x94-108, x44-51 and x176-186: the backward thresholds reject
+    it.  An executor spending about a dozen NumPy calls per wavefront
+    measures x6-8 and x33-39 forward, which the forward thresholds
+    reject."""
 
     @pytest.fixture(scope="class")
     def sweep(self, guard_matrix):
@@ -189,5 +195,38 @@ class TestWavefrontSweepGuard:
             lambda: solver.solve(block))
         assert t_block * 60.0 <= 8 * t_seq, (
             f"8-column sweep {t_block * 1e3:.3f} ms is only "
+            f"x{8 * t_seq / t_block:.1f} faster than 8 oracle solves "
+            f"({8 * t_seq * 1e3:.3f} ms)")
+
+    @pytest.fixture(scope="class")
+    def backward(self, guard_matrix):
+        f = ilu0(guard_matrix)
+        solver = ScheduledTriangularSolver(f.upper, kind="upper",
+                                           schedule=f.upper_schedule)
+        assert solver.n_levels == 99
+        return f.upper, solver
+
+    def test_backward_sweep_beats_sequential(self, backward, rng):
+        upper, solver = backward
+        b = rng.standard_normal(upper.n_rows)
+        np.testing.assert_allclose(solver.solve(b),
+                                   solve_upper_sequential(upper, b),
+                                   rtol=1e-12, atol=1e-12)
+        t_seq, t_sweep = _best_of_alternating(
+            lambda: solve_upper_sequential(upper, b),
+            lambda: solver.solve(b), rounds=15)
+        assert t_sweep * 55.0 <= t_seq, (
+            f"backward sweep {t_sweep * 1e3:.3f} ms is only "
+            f"x{t_seq / t_sweep:.1f} faster than the oracle's "
+            f"{t_seq * 1e3:.3f} ms")
+
+    def test_backward_block_sweep_beats_sequential(self, backward, rng):
+        upper, solver = backward
+        block = rng.standard_normal((upper.n_rows, 8))
+        t_seq, t_block = _best_of_alternating(
+            lambda: solve_upper_sequential(upper, block[:, 0]),
+            lambda: solver.solve(block), rounds=15)
+        assert t_block * 210.0 <= 8 * t_seq, (
+            f"8-column backward sweep {t_block * 1e3:.3f} ms is only "
             f"x{8 * t_seq / t_block:.1f} faster than 8 oracle solves "
             f"({8 * t_seq * 1e3:.3f} ms)")

@@ -5,6 +5,7 @@ form so shrinking stays meaningful.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,6 +94,65 @@ def cancelling_csr(draw):
     return a, _cancelling(rng, shape)
 
 
+@st.composite
+def triangular_system(draw):
+    """A lower or upper, unit or non-unit triangular factor in float32 or
+    float64, with off-diagonal entries and right-hand sides (a vector or
+    three columns) of random sign and magnitude 1e-6..1e6.  A non-unit
+    pivot is at least its row's off-diagonal mass (with magnitude at
+    least 1e-6), and a unit row's off-diagonal mass is scaled to at most
+    1, so no solution overflows.  Returns ``(tri, kind, unit, b)``."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["lower", "upper"]))
+    unit = draw(st.booleans())
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = draw(st.sampled_from([0, 3]))
+    density = draw(st.floats(0.1, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+
+    def spread(shape):
+        return (rng.choice([-1.0, 1.0], size=shape)
+                * 10.0 ** rng.uniform(-6.0, 6.0, size=shape))
+
+    dense = np.tril(spread((n, n)) * (rng.random((n, n)) < density), -1)
+    mass = np.abs(dense).sum(axis=1)
+    if unit:
+        dense /= np.maximum(mass, 1.0)[:, None]
+    else:
+        pivots = np.maximum(mass * (1.0 + rng.random(n)),
+                            np.abs(spread(n)))
+        np.fill_diagonal(dense, rng.choice([-1.0, 1.0], size=n) * pivots)
+    if kind == "upper":
+        dense = dense[::-1, ::-1].copy()
+    b = spread((n,) if width == 0 else (n, width)).astype(dtype)
+    return CSRMatrix.from_dense(dense.astype(dtype)), kind, unit, b
+
+
+def assert_rows_within_bound(tri, unit, b, x):
+    """Every row's residual ``|b_i - (T x)_i|``, computed exactly with
+    :class:`~fractions.Fraction`, is at most
+    ``(len_i + 1) · eps · (|b_i| + Σ_j |t_ij · x_j|)``, where ``len_i``
+    counts the row's terms (its diagonal, implicit or stored, and its
+    off-diagonal entries) and eps is that of the factor dtype."""
+    eps = Fraction(float(np.finfo(tri.dtype).eps))
+    bs = b[:, None] if b.ndim == 1 else b
+    xs = x[:, None] if x.ndim == 1 else x
+    for i in range(tri.n_rows):
+        lo, hi = tri.indptr[i], tri.indptr[i + 1]
+        terms = [(int(j), Fraction(float(v)))
+                 for j, v in zip(tri.indices[lo:hi], tri.data[lo:hi])
+                 if not (unit and j == i)]
+        if unit:
+            terms.append((i, Fraction(1)))
+        for c in range(bs.shape[1]):
+            bi = Fraction(float(bs[i, c]))
+            prods = [t * Fraction(float(xs[j, c])) for j, t in terms]
+            resid = abs(bi - sum(prods))
+            bound = ((len(terms) + 1) * eps
+                     * (abs(bi) + sum(abs(p) for p in prods)))
+            assert resid <= bound, (i, c, float(resid), float(bound))
+
+
 def assert_row_sums_near_fsum(sums, values, starts, ends):
     """Each segment's float64 sum is within ``len · eps · Σ|v|`` of the
     correctly rounded ``math.fsum`` — a bound that holds for any
@@ -155,6 +215,25 @@ class TestRowSumAccuracy:
         if x.ndim == 2:
             for j in range(x.shape[1]):
                 np.testing.assert_array_equal(y[:, j], a.matvec(x[:, j]))
+
+
+class TestTriangularRowAccuracy:
+    """The wavefront sweep is right for every row, not only on average:
+    each row meets a backward-error bound that holds whatever level the
+    row sits in and however large the rows solved before it."""
+
+    @given(triangular_system())
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_within_bound(self, system):
+        tri, kind, unit, b = system
+        # Pivots span more decades than float32's relative pivot
+        # threshold admits; the bound needs no threshold.
+        solver = ScheduledTriangularSolver(tri, kind=kind,
+                                           unit_diagonal=unit,
+                                           pivot_rtol=0.0)
+        x = solver.solve(b)
+        assert x.dtype == tri.dtype and np.isfinite(x).all()
+        assert_rows_within_bound(tri, unit, b, x)
 
 
 class TestCSRProperties:

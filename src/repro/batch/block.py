@@ -6,7 +6,7 @@ amortizing per-wavefront synchronization; the same amortization applies
 across right-hand sides: one level-scheduled triangular sweep over the
 block pays the wavefront barriers once for all ``B`` solves (the
 ``B``-fold launch/sync saving :func:`repro.machine.kernels.
-iteration_cost_batched` prices), which is the batching lever multi-
+iteration_cost` prices at ``batch=B``), which is the batching lever multi-
 request throughput lives on — the same grouping-to-cut-synchronizations
 idea as communication-reduced CG variants on GPU clusters.
 
@@ -56,18 +56,16 @@ trust):
   one — classic residual replacement, off by default because it
   perturbs the trajectory the restart-exactness tests pin down).
 
-A three-argument slot hook additionally receives a
-:class:`BoundaryView` whose :meth:`~BoundaryView.capture` snapshots a
-live column's full CG state as a :class:`CheckpointState`; admitting
-``(key, b, checkpoint)`` later resumes that column *bitwise* where the
-snapshot left off (per-column kernels are batch-composition
-independent), which is the serving layer's crash/corruption recovery
-path.
+The slot hook's third argument is a :class:`BoundaryView` whose
+:meth:`~BoundaryView.capture` snapshots a live column's full CG state
+as a :class:`CheckpointState`; admitting ``(key, b, checkpoint)`` later
+resumes that column *bitwise* where the snapshot left off (per-column
+kernels are batch-composition independent), which is the serving
+layer's crash/corruption recovery path.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -77,7 +75,7 @@ from ..errors import AbortSolve, InvalidRequestError, ShapeError
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_recorder
 from ..precond.base import Preconditioner
-from ..precond.identity import IdentityPreconditioner
+from ..solvers.cg import _prepare
 from ..solvers.result import SolveResult, TerminationReason
 from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
@@ -118,16 +116,15 @@ class SlotDecision:
         return bool(self.admit) or bool(self.cancel)
 
 
-#: Called as ``hook(sweep, active_keys)`` — or, when the callable
-#: accepts a third parameter, ``hook(sweep, active_keys, view)`` with a
-#: :class:`BoundaryView` — at the boundary *before* sweep ``sweep``
+#: Called as ``hook(sweep, active_keys, view)``, with a
+#: :class:`BoundaryView`, at the boundary *before* sweep ``sweep``
 #: runs (1-based).  ``active_keys`` is the tuple of keys of live
 #: columns before the decision is applied, so the caller always knows
 #: exactly which of its requests still occupy slots; the hook owns any
 #: notion of time (the serving scheduler advances its modeled clock
 #: here).  Returning ``None`` means "no changes".  When the working set
 #: is empty and the hook admits nothing, the block ends.
-SlotHook = Callable[..., "SlotDecision | None"]
+SlotHook = Callable[[int, tuple, "BoundaryView"], "SlotDecision | None"]
 
 
 @dataclass(frozen=True)
@@ -204,7 +201,7 @@ class CheckpointState:
 
 class BoundaryView:
     """Read-only window into the block state at one iteration boundary,
-    handed to three-argument slot hooks.
+    handed to the slot hook as its third argument.
 
     Attributes
     ----------
@@ -387,36 +384,15 @@ def pcg_block(a: CSRMatrix, b_block: np.ndarray,
         a sequential :func:`~repro.solvers.cg.pcg` loop.
     """
     n = a.n_rows
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("pcg_block requires a square matrix")
-    b_block = np.asarray(b_block)
-    if b_block.ndim == 1:
-        b_block = b_block[:, None]
-    if b_block.ndim != 2 or b_block.shape[0] != n:
-        raise ShapeError(f"b_block must have shape ({n}, B), "
-                         f"got {b_block.shape}")
+    b_block, m, crit, x = _prepare(a, b_block, preconditioner, criterion,
+                                   x0, block=True)
     nb = b_block.shape[1]
     if nb == 0 and slot_hook is None:
         # A zero-column block is only meaningful with a slot hook: the
         # hook may admit columns (e.g. checkpoint resumes) at the first
         # boundary — the serving layer's all-retries dispatch.
         raise ShapeError("b_block must have at least one column")
-    m = preconditioner if preconditioner is not None \
-        else IdentityPreconditioner(n)
-    if m.n != n:
-        raise ShapeError("preconditioner order does not match the matrix")
-    crit = criterion if criterion is not None \
-        else StoppingCriterion.paper_default()
-
-    dtype = np.result_type(a.dtype, b_block.dtype)
-    x = (np.zeros((n, nb), dtype=dtype) if x0 is None
-         else np.asarray(x0, dtype=dtype).copy())
-    if x.shape != (n, nb):
-        raise ShapeError(f"x0 must have shape ({n}, {nb})")
-    if x0 is not None and not np.isfinite(x).all():
-        raise InvalidRequestError(
-            "x0 contains non-finite entries; a NaN/Inf warm start would "
-            "silently poison every iterate")
+    dtype = x.dtype
 
     b_norms = _col_norms(b_block)
     thresholds = np.array([crit.threshold(bn) for bn in b_norms])
@@ -439,13 +415,6 @@ def pcg_block(a: CSRMatrix, b_block: np.ndarray,
         abft_abs = np.zeros(n, dtype=np.float64)
         np.add.at(abft_abs, a.indices, np.abs(a.data).astype(
             np.float64, copy=False))
-    hook_wants_view = False
-    if slot_hook is not None:
-        try:
-            hook_wants_view = len(
-                inspect.signature(slot_hook).parameters) >= 3
-        except (TypeError, ValueError):  # odd callables: assume new API
-            hook_wants_view = True
 
     # Per-column terminal state, filled in as columns retire.  Under a
     # slot hook these arrays *grow* as columns are admitted; ``born``
@@ -765,27 +734,24 @@ def pcg_block(a: CSRMatrix, b_block: np.ndarray,
                                            rz[keep])
         if slot_hook is not None:
             active_keys = tuple(col_keys[int(j)] for j in idx)
-            if hook_wants_view:
-                def capture(key: object, _k: int = k) -> CheckpointState:
-                    j = key_to_col.get(key)
-                    pos = (np.flatnonzero(idx == j)
-                           if j is not None else np.empty(0))
-                    if j is None or pos.size == 0:
-                        raise KeyError(
-                            f"column {key!r} is not active at this "
-                            f"boundary")
-                    t = int(pos[0])
-                    return CheckpointState(
-                        x=xa[:, t].copy(), r=ra[:, t].copy(),
-                        p=pa[:, t].copy(), rz=float(rz[t]),
-                        iters=int((_k - 1) - born[j]),
-                        history=tuple(histories[j]))
 
-                view = BoundaryView(k, verified_keys,
-                                    tuple(pending_detected), capture)
-                decision = slot_hook(k, active_keys, view)
-            else:
-                decision = slot_hook(k, active_keys)
+            def capture(key: object, _k: int = k) -> CheckpointState:
+                j = key_to_col.get(key)
+                pos = (np.flatnonzero(idx == j)
+                       if j is not None else np.empty(0))
+                if j is None or pos.size == 0:
+                    raise KeyError(
+                        f"column {key!r} is not active at this boundary")
+                t = int(pos[0])
+                return CheckpointState(
+                    x=xa[:, t].copy(), r=ra[:, t].copy(),
+                    p=pa[:, t].copy(), rz=float(rz[t]),
+                    iters=int((_k - 1) - born[j]),
+                    history=tuple(histories[j]))
+
+            view = BoundaryView(k, verified_keys, tuple(pending_detected),
+                                capture)
+            decision = slot_hook(k, active_keys, view)
             if decision is not None:
                 if decision.cancel:
                     xa, ra, pa, rz, idx = cancel_columns(

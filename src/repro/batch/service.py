@@ -15,7 +15,7 @@ matrices.  :class:`SolverService` exploits that shape twice:
    dispatched as a single :func:`~repro.batch.block.pcg_block` call, so
    the per-wavefront launches and barriers of the triangular solves are
    amortized over the whole batch (priced by
-   :func:`~repro.machine.kernels.iteration_cost_batched`).
+   :func:`~repro.machine.kernels.iteration_cost` at ``batch=B``).
 
 Every flush emits ``batch_start``/``batch_end`` trace events carrying
 the batch size and records the modeled batched kernels on a
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..machine.device import A100, DeviceModel, get_device
-from ..machine.kernels import iteration_cost_batched
+from ..machine.kernels import iteration_cost
 from ..machine.timeline import Timeline
 from ..obs.metrics import get_metrics
 from ..perf.cache import ArtifactCache
@@ -239,8 +239,8 @@ class SolverService:
         for d in sched.report().dispatches:
             a = fp_matrix[d.fingerprint]
             nb = d.n_served
-            cost = iteration_cost_batched(self.device, a,
-                                          d.preconditioner, batch=nb)
+            cost = iteration_cost(self.device, a, d.preconditioner,
+                                  batch=nb)
             block: BlockSolveResult = d.block
             sweeps = block.block_iters
             for name, t in (("spmv_batched", cost.spmv),

@@ -15,7 +15,8 @@ simulation out:
   pooled latency percentiles and busy-time-weighted occupancy (the two
   numbers naive per-device averaging gets wrong).
 * :mod:`repro.fleet.shard` — row-sharding one huge matrix across
-  devices with halo-exchange measurement and :func:`sharded_pcg`.
+  devices: halo-exchange measurement and :func:`shard_comm_seconds`,
+  the link seconds one sharded PCG iteration pays.
 * :mod:`repro.fleet.cost` — per-iteration fleet pricing of ``pcg``
   versus the communication-reduced variants
   (:func:`~repro.solvers.pipelined_cg`,
@@ -35,11 +36,10 @@ from .shard import (
     RowShardPlan,
     ShardInfo,
     halo_exchange_seconds,
-    partition_rows,
     plan_row_shards,
+    shard_comm_seconds,
     shard_matrices,
     shard_matvec,
-    sharded_pcg,
 )
 
 __all__ = [
@@ -56,9 +56,8 @@ __all__ = [
     "RowShardPlan",
     "ShardInfo",
     "halo_exchange_seconds",
-    "partition_rows",
     "plan_row_shards",
+    "shard_comm_seconds",
     "shard_matrices",
     "shard_matvec",
-    "sharded_pcg",
 ]

@@ -3,7 +3,7 @@
 Distributed CG pays two bills the single-device roofline never sees:
 the **allreduce** behind every inner product and the **halo exchange**
 behind every sharded SpMV.  :func:`comm_iteration_cost` extends
-:func:`~repro.machine.kernels.iteration_cost_batched` with those link
+:func:`~repro.machine.kernels.iteration_cost` with those link
 terms for each solver variant, charging each its actual
 synchronization structure:
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..machine.device import DeviceModel
-from ..machine.kernels import iteration_cost_batched, time_axpy_batched
+from ..machine.kernels import iteration_cost, time_axpy
 from ..machine.link import LinkModel, time_allreduce
 from ..precond.base import Preconditioner
 from ..sparse.csr import CSRMatrix
@@ -89,7 +89,7 @@ def comm_iteration_cost(dev: DeviceModel, link: LinkModel,
     n_devices = int(n_devices)
     if n_devices < 1:
         raise ValueError(f"n_devices must be at least 1, got {n_devices}")
-    base = iteration_cost_batched(dev, a, preconditioner, batch)
+    base = iteration_cost(dev, a, preconditioner, batch)
     # Work-share: FLOP/byte terms split N ways; per-kernel launch and
     # sync floors do not (they are per-device constants already folded
     # into the kernel prices, so this is an optimistic upper bound on
@@ -109,7 +109,7 @@ def comm_iteration_cost(dev: DeviceModel, link: LinkModel,
         overlap = (base.spmv + base.precond) * share
         exposed = max(0.0, ar - overlap)
         # Three extra vector recurrences (z, q, s) buy the overlap.
-        compute += 3.0 * time_axpy_batched(dev, a.n_rows, batch) * share
+        compute += 3.0 * time_axpy(dev, a.n_rows, batch) * share
     else:  # s_step
         k_basis = 2 * s + 1
         gram_bytes = 2 * k_basis * k_basis * scalars * _SCALAR_BYTES
@@ -123,7 +123,7 @@ def comm_iteration_cost(dev: DeviceModel, link: LinkModel,
         extra_ops = max(0.0, (s - 1.0) / s)
         compute += extra_ops * (base.spmv + base.precond) * share
         compute += (3.0 * k_basis / s) \
-            * time_axpy_batched(dev, a.n_rows, batch) * share
+            * time_axpy(dev, a.n_rows, batch) * share
     return CommIterationCost(variant=variant, n_devices=n_devices,
                              compute=compute, allreduce=ar,
                              exposed=exposed)

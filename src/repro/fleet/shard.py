@@ -14,13 +14,11 @@ matching slice of every CG vector.  One CG iteration then needs:
 * **dots** — every inner product becomes a partial sum plus an
   allreduce, priced by :func:`~repro.machine.link.time_allreduce`.
 
-:func:`sharded_pcg` runs Algorithm 1 in this decomposition.  Following
-the repo's modeled-machine discipline (numerics on the host, costs
-modeled), the arithmetic uses the single-device kernel — so the
-iterates are **bitwise** those of :func:`~repro.solvers.cg.pcg` for
-*any* shard count, which the determinism tests pin — while the shard
-plan prices the communication the decomposition would pay, returned in
-``result.extra["shard"]``.  :func:`shard_matvec` performs the actual
+Following the repo's modeled-machine discipline (numerics on the host,
+costs modeled), a row-sharded solve is plain :func:`~repro.solvers.cg.pcg`
+— its iterates do not depend on the shard count — and
+:func:`shard_comm_seconds` prices the communication one of its
+iterations would pay.  :func:`shard_matvec` performs the actual
 per-shard computation (concatenated row-block SpMVs) for the tests
 that validate the decomposition numerically; it is bitwise equal to
 the fused kernel, which sums every row on its own.
@@ -34,15 +32,11 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..machine.link import LinkModel, time_allreduce, time_halo_exchange
-from ..obs.trace import get_recorder
-from ..precond.base import Preconditioner
-from ..solvers.cg import pcg
-from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
 
-__all__ = ["ShardInfo", "RowShardPlan", "partition_rows",
-           "plan_row_shards", "halo_exchange_seconds", "shard_matrices",
-           "shard_matvec", "sharded_pcg"]
+__all__ = ["ShardInfo", "RowShardPlan", "plan_row_shards",
+           "halo_exchange_seconds", "shard_comm_seconds", "shard_matrices",
+           "shard_matvec"]
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,13 @@ class RowShardPlan:
         return int(np.searchsorted(self.bounds, col, side="right") - 1)
 
 
-def partition_rows(n: int, n_shards: int) -> tuple[int, ...]:
-    """Balanced contiguous row bounds: ``n_shards + 1`` fenceposts."""
-    n = int(n)
+def plan_row_shards(a: CSRMatrix, n_shards: int) -> RowShardPlan:
+    """Partition *a*'s rows into ``n_shards`` balanced contiguous
+    blocks (sizes differ by at most one, the larger blocks first) and
+    measure each block's halo (off-shard columns its rows read)."""
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError("row sharding requires a square matrix")
+    n = a.n_rows
     n_shards = int(n_shards)
     if n_shards < 1:
         raise ValueError(f"n_shards must be at least 1, got {n_shards}")
@@ -111,19 +109,7 @@ def partition_rows(n: int, n_shards: int) -> tuple[int, ...]:
         raise ValueError(
             f"cannot split {n} rows into {n_shards} non-empty shards")
     base, extra = divmod(n, n_shards)
-    bounds = [0]
-    for d in range(n_shards):
-        bounds.append(bounds[-1] + base + (1 if d < extra else 0))
-    return tuple(bounds)
-
-
-def plan_row_shards(a: CSRMatrix, n_shards: int) -> RowShardPlan:
-    """Partition *a*'s rows into ``n_shards`` contiguous blocks and
-    measure each block's halo (off-shard columns its rows read)."""
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("row sharding requires a square matrix")
-    n = a.n_rows
-    bounds = partition_rows(n, n_shards)
+    bounds = tuple(d * base + min(d, extra) for d in range(n_shards + 1))
     shard_of_col = np.searchsorted(bounds, np.arange(n), side="right") - 1
     shards = []
     for d in range(n_shards):
@@ -175,52 +161,16 @@ def shard_matvec(a: CSRMatrix, plan: RowShardPlan,
     return np.concatenate([s.matvec(x) for s in shard_matrices(a, plan)])
 
 
-def sharded_pcg(a: CSRMatrix, b: np.ndarray,
-                preconditioner: Preconditioner | None = None, *,
-                n_shards: int, link: LinkModel,
-                x0: np.ndarray | None = None,
-                criterion: StoppingCriterion | None = None,
-                value_bytes: int = 8):
-    """Row-sharded PCG spanning ``n_shards`` devices, halo priced.
+def shard_comm_seconds(plan: RowShardPlan, link: LinkModel, *,
+                       value_bytes: int = 8) -> float:
+    """Modeled link seconds one PCG iteration pays under *plan*.
 
-    Numerically this *is* :func:`~repro.solvers.cg.pcg` — the host
-    arithmetic runs the single-device kernel, so iterates, residual
-    history, and termination are **bitwise identical** for any shard
-    count (the preconditioner should be row-local — ``None``, Jacobi,
-    or a block-Jacobi aligned with the partition — for the modeled
-    decomposition to be faithful; a row-coupling preconditioner would
-    need communication this model does not price).  What changes is
-    the communication profile attached to the result:
-
-    ``result.extra["shard"]`` carries the plan's halo measurements and
-    the per-iteration modeled link seconds — one halo exchange per SpMV
-    plus three scalar allreduces (two in-loop dots and the norm check)
-    — which the fleet cost model and benchmarks consume.  Both terms
-    are exactly zero at ``n_shards=1`` and the halo term is exactly
-    zero for cut-free partitions.
+    One halo exchange per SpMV (:func:`halo_exchange_seconds`) plus
+    three scalar allreduces — the two in-loop dots and the norm check.
+    Exactly ``0.0`` at one shard; the halo term is exactly zero for a
+    cut-free partition.  The preconditioner should be row-local
+    (``None``, Jacobi, or a block-Jacobi aligned with the partition): a
+    row-coupling one would need communication this bill leaves out.
     """
-    plan = plan_row_shards(a, n_shards)
-    bounds = plan.bounds
-    result = pcg(a, b, preconditioner, x0=x0, criterion=criterion)
-    halo_s = halo_exchange_seconds(plan, link, value_bytes=value_bytes)
-    allreduce_s = 3.0 * time_allreduce(link, plan.n_shards, 8)
-    result.extra["shard"] = {
-        "n_shards": plan.n_shards,
-        "bounds": list(bounds),
-        "cut_nnz": plan.cut_nnz,
-        "max_halo_values": plan.max_halo_values,
-        "max_halo_messages": plan.max_halo_messages,
-        "halo_seconds_per_spmv": halo_s,
-        "allreduce_seconds_per_iter": allreduce_s,
-        "comm_seconds_per_iter": halo_s + allreduce_s,
-        "comm_seconds_total": result.n_iters * (halo_s + allreduce_s),
-    }
-    rec = get_recorder()
-    if rec.enabled:
-        rec.emit("shard_solve", n_shards=plan.n_shards, n=plan.n,
-                 link=link.name, cut_nnz=plan.cut_nnz,
-                 halo_values=plan.max_halo_values,
-                 n_iters=result.n_iters, reason=result.reason.name,
-                 comm_seconds_total=result.extra["shard"][
-                     "comm_seconds_total"])
-    return result
+    return (halo_exchange_seconds(plan, link, value_bytes=value_bytes)
+            + 3.0 * time_allreduce(link, plan.n_shards, 8))

@@ -38,16 +38,11 @@ from .kernels import (
     ValueTraffic,
     estimate_request_seconds,
     iteration_cost,
-    iteration_cost_batched,
     iteration_value_traffic,
     time_dot,
-    time_dot_batched,
     time_axpy,
-    time_axpy_batched,
     time_spmv,
-    time_spmv_batched,
     time_trisolve,
-    time_trisolve_batched,
     time_trisolve_aggregated,
     time_trisolve_partitioned,
     time_ilu_factorization,
@@ -78,16 +73,11 @@ __all__ = [
     "ValueTraffic",
     "estimate_request_seconds",
     "iteration_cost",
-    "iteration_cost_batched",
     "iteration_value_traffic",
     "time_dot",
-    "time_dot_batched",
     "time_axpy",
-    "time_axpy_batched",
     "time_spmv",
-    "time_spmv_batched",
     "time_trisolve",
-    "time_trisolve_batched",
     "time_trisolve_aggregated",
     "time_trisolve_partitioned",
     "time_ilu_factorization",

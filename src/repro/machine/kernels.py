@@ -5,6 +5,11 @@ roofline rule: ``launch + max(flops / (peak · util), bytes / BW, floor)``.
 The triangular solve and the level-scheduled factorization iterate that
 rule per wavefront, adding the inter-wavefront synchronization — the cost
 the paper's sparsification removes.
+
+The kernels of Algorithm 1 take ``batch`` — the number of right-hand-side
+columns one launch serves (default 1): launches and synchronizations are
+paid once, FLOPs and vector bytes scale with ``batch``.  At ``batch=1``
+each rule is the single-vector one exactly (the extra factors are 1).
 """
 
 from __future__ import annotations
@@ -22,10 +27,6 @@ __all__ = [
     "time_dot",
     "time_axpy",
     "time_trisolve",
-    "time_spmv_batched",
-    "time_dot_batched",
-    "time_axpy_batched",
-    "time_trisolve_batched",
     "time_trisolve_partitioned",
     "time_ilu_factorization",
     "time_ainv_setup",
@@ -33,7 +34,6 @@ __all__ = [
     "time_sparsification",
     "IterationCost",
     "iteration_cost",
-    "iteration_cost_batched",
     "estimate_request_seconds",
     "ValueTraffic",
     "iteration_value_traffic",
@@ -62,83 +62,12 @@ def _roofline(dev: DeviceModel, flops: float, bytes_: float,
     return max(t_compute, t_memory, dev.min_kernel_time)
 
 
-def time_spmv(dev: DeviceModel, n_rows: int, nnz: int, *,
+def time_spmv(dev: DeviceModel, n_rows: int, nnz: int, batch: int = 1, *,
               value_bytes: int | None = None) -> float:
-    """CSR SpMV: 2 FLOPs/nnz; streams values+indices once, x gathered,
-    y written.  ``value_bytes`` overrides the device's default value
-    width (per-dtype traffic, e.g. float32 factors)."""
-    vb = dev.value_bytes if value_bytes is None else int(value_bytes)
-    flops = 2.0 * nnz
-    bytes_ = (nnz * (vb + dev.index_bytes)
-              + n_rows * (2 * vb + dev.index_bytes))
-    util = min(1.0, n_rows / dev.row_slots)
-    return dev.launch_overhead + _roofline(dev, flops, bytes_, util)
-
-
-def time_dot(dev: DeviceModel, n: int) -> float:
-    """Inner product: 2n FLOPs, 2n values read; reduction adds one sync."""
-    flops = 2.0 * n
-    bytes_ = 2.0 * n * dev.value_bytes
-    util = min(1.0, n / dev.parallel_lanes)
-    return (dev.launch_overhead + dev.sync_overhead
-            + _roofline(dev, flops, bytes_, util))
-
-
-def time_axpy(dev: DeviceModel, n: int) -> float:
-    """AXPY-style vector update: 2n FLOPs, 2 reads + 1 write per element."""
-    flops = 2.0 * n
-    bytes_ = 3.0 * n * dev.value_bytes
-    util = min(1.0, n / dev.parallel_lanes)
-    return dev.launch_overhead + _roofline(dev, flops, bytes_, util)
-
-
-def time_trisolve(dev: DeviceModel, rows_per_level: np.ndarray,
-                  nnz_per_level: np.ndarray, *,
-                  value_bytes: int | None = None) -> float:
-    """Level-scheduled sparse triangular solve.
-
-    One kernel per wavefront; between consecutive wavefronts a device-wide
-    barrier.  Narrow wavefronts (fewer rows than the device's row slots)
-    run at proportionally reduced utilization — the structural reason
-    wavefront reduction translates into per-iteration speedup
-    (Section 5.2 of the paper).
-
-    Parameters
-    ----------
-    rows_per_level, nnz_per_level:
-        Output of
-        :meth:`repro.precond.triangular.ScheduledTriangularSolver.kernel_profile`.
-    value_bytes:
-        Optional per-dtype value width overriding ``dev.value_bytes``
-        (float32 factors halve the dominant kernel's value traffic).
-    """
-    vb = dev.value_bytes if value_bytes is None else int(value_bytes)
-    rows_per_level = np.asarray(rows_per_level, dtype=np.float64)
-    nnz_per_level = np.asarray(nnz_per_level, dtype=np.float64)
-    if rows_per_level.shape != nnz_per_level.shape:
-        raise ValueError("per-level arrays must have equal length")
-    n_levels = rows_per_level.shape[0]
-    if n_levels == 0:
-        return 0.0
-    util = np.minimum(1.0, rows_per_level / dev.row_slots)
-    util = np.maximum(util, 1e-9)
-    flops = 2.0 * nnz_per_level
-    bytes_ = (nnz_per_level * (vb + dev.index_bytes)
-              + rows_per_level * (2 * vb + dev.index_bytes))
-    t_compute = flops / (dev.peak_flops * util)
-    t_memory = bytes_ / (dev.mem_bandwidth * np.minimum(1.0,
-                                                        np.sqrt(util) * 4))
-    body = np.maximum(np.maximum(t_compute, t_memory), dev.min_kernel_time)
-    return float(n_levels * dev.launch_overhead
-                 + (n_levels - 1) * dev.sync_overhead
-                 + body.sum())
-
-
-def time_spmv_batched(dev: DeviceModel, n_rows: int, nnz: int,
-                      batch: int, *,
-                      value_bytes: int | None = None) -> float:
-    """CSR SpMV against a ``(n, B)`` block: one launch, matrix streamed
-    once, per-column vector traffic and FLOPs scaled by ``B``."""
+    """CSR SpMV against ``batch`` columns: 2 FLOPs/nnz per column; one
+    launch streams the values and indices once, and per column the x
+    gather and y write.  ``value_bytes`` overrides the device's default
+    value width (per-dtype traffic, e.g. float32 factors)."""
     batch = _check_batch(batch)
     vb = dev.value_bytes if value_bytes is None else int(value_bytes)
     flops = 2.0 * nnz * batch
@@ -149,9 +78,9 @@ def time_spmv_batched(dev: DeviceModel, n_rows: int, nnz: int,
     return dev.launch_overhead + _roofline(dev, flops, bytes_, util)
 
 
-def time_dot_batched(dev: DeviceModel, n: int, batch: int) -> float:
-    """``B`` per-column inner products fused into one reduction kernel:
-    launch and sync paid once for the whole block."""
+def time_dot(dev: DeviceModel, n: int, batch: int = 1) -> float:
+    """``batch`` inner products in one reduction kernel: 2n FLOPs and
+    2n values read per column; launch and sync paid once."""
     batch = _check_batch(batch)
     flops = 2.0 * n * batch
     bytes_ = 2.0 * n * batch * dev.value_bytes
@@ -160,9 +89,9 @@ def time_dot_batched(dev: DeviceModel, n: int, batch: int) -> float:
             + _roofline(dev, flops, bytes_, util))
 
 
-def time_axpy_batched(dev: DeviceModel, n: int, batch: int) -> float:
-    """Blocked AXPY update (per-column scalars): one launch for ``B``
-    columns."""
+def time_axpy(dev: DeviceModel, n: int, batch: int = 1) -> float:
+    """AXPY-style vector update of ``batch`` columns (per-column
+    scalars) in one launch: 2n FLOPs, 2 reads + 1 write per element."""
     batch = _check_batch(batch)
     flops = 2.0 * n * batch
     bytes_ = 3.0 * n * batch * dev.value_bytes
@@ -170,18 +99,33 @@ def time_axpy_batched(dev: DeviceModel, n: int, batch: int) -> float:
     return dev.launch_overhead + _roofline(dev, flops, bytes_, util)
 
 
-def time_trisolve_batched(dev: DeviceModel, rows_per_level: np.ndarray,
-                          nnz_per_level: np.ndarray, batch: int, *,
-                          value_bytes: int | None = None) -> float:
-    """Level-scheduled triangular solve over a ``(n, B)`` block.
+def time_trisolve(dev: DeviceModel, rows_per_level: np.ndarray,
+                  nnz_per_level: np.ndarray, batch: int = 1, *,
+                  value_bytes: int | None = None) -> float:
+    """Level-scheduled sparse triangular solve over ``batch`` columns.
 
-    This is where multi-RHS batching pays: the per-wavefront launches
-    and the inter-wavefront device barriers — the terms sparsification
-    attacks — are paid **once per sweep regardless of B**, while each
-    level's roofline body scales its FLOPs and value traffic by ``B``
-    (indices are read once) at ``B``-fold improved row utilization.
-    Per-RHS time therefore shrinks monotonically with batch size, most
-    steeply for wavefront-bound (many narrow levels) factors.
+    One kernel per wavefront; between consecutive wavefronts a device-wide
+    barrier.  Narrow wavefronts (fewer rows than the device's row slots)
+    run at proportionally reduced utilization — the structural reason
+    wavefront reduction translates into per-iteration speedup
+    (Section 5.2 of the paper).
+
+    This is also where multi-RHS batching pays: the per-wavefront
+    launches and barriers — the terms sparsification attacks — are paid
+    **once per sweep regardless of batch**, while each level's roofline
+    body scales its FLOPs and value traffic by ``batch`` (indices are
+    read once) at ``batch``-fold improved row utilization.  Per-RHS time
+    therefore shrinks monotonically with batch size, most steeply for
+    wavefront-bound (many narrow levels) factors.
+
+    Parameters
+    ----------
+    rows_per_level, nnz_per_level:
+        Output of
+        :meth:`repro.precond.triangular.ScheduledTriangularSolver.kernel_profile`.
+    value_bytes:
+        Optional per-dtype value width overriding ``dev.value_bytes``
+        (float32 factors halve the dominant kernel's value traffic).
     """
     batch = _check_batch(batch)
     vb = dev.value_bytes if value_bytes is None else int(value_bytes)
@@ -295,11 +239,8 @@ def time_trisolve_partitioned(dev: DeviceModel,
     total = round_time(np.ones(n_parts, dtype=bool))
     n_sweeps = int(depth.max(initial=0))
     if n_sweeps:
-        spmv = (time_spmv(dev, max(1, coupling_rows), coupling_nnz,
-                          value_bytes=vb)
-                if batch == 1 else
-                time_spmv_batched(dev, max(1, coupling_rows), coupling_nnz,
-                                  batch, value_bytes=vb))
+        spmv = time_spmv(dev, max(1, coupling_rows), coupling_nnz, batch,
+                         value_bytes=vb)
         for s in range(1, n_sweeps + 1):
             total += (2.0 * dev.sync_overhead + spmv
                       + round_time(depth >= s))
@@ -491,16 +432,13 @@ def _time_precond_sweep(dev: DeviceModel, solver, batch: int = 1) -> float:
 
     A solver exposing ``cost_args`` (the partitioned executor) is priced
     by :func:`time_trisolve_partitioned`; otherwise the level-scheduled
-    rule applies — with ``batch == 1`` reproducing :func:`time_trisolve`
-    exactly (the pinned golden numbers).
+    rule :func:`time_trisolve` applies.
     """
     cost_args = getattr(solver, "cost_args", None)
     if cost_args is not None:
         return time_trisolve_partitioned(dev, batch=batch, **cost_args())
     rows, nnz = solver.kernel_profile()
-    if batch == 1:
-        return time_trisolve(dev, rows, nnz)
-    return time_trisolve_batched(dev, rows, nnz, batch)
+    return time_trisolve(dev, rows, nnz, batch)
 
 
 def _precond_spmv_times(dev: DeviceModel, preconditioner: Preconditioner,
@@ -510,71 +448,38 @@ def _precond_spmv_times(dev: DeviceModel, preconditioner: Preconditioner,
     Preconditioners exposing ``spmv_profile()`` apply as one or two
     independent SpMV launches — no wavefronts, no device barriers —
     so each profile entry ``(n_rows, nnz, value_bytes)`` is priced by
-    the plain (batched) SpMV rule.  Returns ``None`` for everything
-    else so the wavefront/diagonal dispatch below applies.
+    the plain SpMV rule.  Returns ``None`` for everything else so the
+    wavefront/diagonal dispatch below applies.
     """
     profile = getattr(preconditioner, "spmv_profile", None)
     if profile is None:
         return None
-    times = []
-    for n_rows, nnz, vb in profile():
-        if batch == 1:
-            times.append(time_spmv(dev, n_rows, nnz, value_bytes=vb))
-        else:
-            times.append(time_spmv_batched(dev, n_rows, nnz, batch,
-                                           value_bytes=vb))
+    times = [time_spmv(dev, n_rows, nnz, batch, value_bytes=vb)
+             for n_rows, nnz, vb in profile()]
     fwd = times[0] if times else 0.0
     bwd = float(sum(times[1:]))
     return fwd, bwd
 
 
 def iteration_cost(dev: DeviceModel, a: CSRMatrix,
-                   preconditioner: Preconditioner) -> IterationCost:
-    """Assemble the modeled cost of one PCG iteration.
+                   preconditioner: Preconditioner,
+                   batch: int = 1) -> IterationCost:
+    """Assemble the modeled cost of one PCG iteration over ``batch``
+    right-hand-side columns (one block sweep of :func:`~repro.batch.
+    pcg_block`; ``batch=1`` is one iteration of ``pcg``).
 
     Uses the preconditioner's wavefront solvers when it exposes them
     (ILU0/ILUK/IC0/SSOR); approximate-inverse preconditioners exposing
     ``spmv_profile()`` (SPAI/FSAI) are priced as barrier-free SpMVs;
     diagonal preconditioners are priced as one vector op.
     Partitioned-engine solvers are priced by their own rule (see
-    :func:`_time_precond_sweep`).
-    """
-    n = a.n_rows
-    spmv = time_spmv(dev, n, a.nnz)
-    ainv = _precond_spmv_times(dev, preconditioner)
-    solvers = getattr(preconditioner, "solvers", None)
-    if ainv is not None:
-        t_fwd, t_bwd = ainv
-    elif solvers is not None:
-        fwd, bwd = solvers()
-        t_fwd = _time_precond_sweep(dev, fwd)
-        t_bwd = _time_precond_sweep(dev, bwd)
-    else:
-        t_fwd = time_axpy(dev, n) if preconditioner.apply_nnz() else 0.0
-        t_bwd = 0.0
-    # Algorithm 1 per iteration: (r,z), (p,w) dots + ‖r‖ check → 3
-    # reductions; x, r, p updates → 3 AXPYs.
-    dots = 3.0 * time_dot(dev, n)
-    axpys = 3.0 * time_axpy(dev, n)
-    return IterationCost(spmv=spmv, precond_fwd=t_fwd, precond_bwd=t_bwd,
-                         dots=dots, axpys=axpys)
-
-
-def iteration_cost_batched(dev: DeviceModel, a: CSRMatrix,
-                           preconditioner: Preconditioner,
-                           batch: int) -> IterationCost:
-    """Modeled cost of one *block* PCG iteration over ``B`` columns.
-
-    Same kernel mix as :func:`iteration_cost` with every kernel priced
-    by its batched rule: launches and per-wavefront synchronizations are
-    paid once per sweep, FLOPs and value bytes scale with ``B``.
-    ``batch == 1`` reproduces :func:`iteration_cost` exactly, so the
-    per-RHS ratio ``iteration_cost_batched(B).total / B`` against the
-    ``B = 1`` cost isolates the amortization effect.
+    :func:`_time_precond_sweep`).  Every kernel pays its launches and
+    synchronizations once per sweep, so ``iteration_cost(B).total / B``
+    against the ``B = 1`` cost isolates the batching amortization.
     """
     batch = _check_batch(batch)
     n = a.n_rows
-    spmv = time_spmv_batched(dev, n, a.nnz, batch)
+    spmv = time_spmv(dev, n, a.nnz, batch)
     ainv = _precond_spmv_times(dev, preconditioner, batch)
     solvers = getattr(preconditioner, "solvers", None)
     if ainv is not None:
@@ -584,11 +489,13 @@ def iteration_cost_batched(dev: DeviceModel, a: CSRMatrix,
         t_fwd = _time_precond_sweep(dev, fwd, batch)
         t_bwd = _time_precond_sweep(dev, bwd, batch)
     else:
-        t_fwd = (time_axpy_batched(dev, n, batch)
+        t_fwd = (time_axpy(dev, n, batch)
                  if preconditioner.apply_nnz() else 0.0)
         t_bwd = 0.0
-    dots = 3.0 * time_dot_batched(dev, n, batch)
-    axpys = 3.0 * time_axpy_batched(dev, n, batch)
+    # Algorithm 1 per iteration: (r,z), (p,w) dots + ‖r‖ check → 3
+    # reductions; x, r, p updates → 3 AXPYs.
+    dots = 3.0 * time_dot(dev, n, batch)
+    axpys = 3.0 * time_axpy(dev, n, batch)
     return IterationCost(spmv=spmv, precond_fwd=t_fwd, precond_bwd=t_bwd,
                          dots=dots, axpys=axpys)
 
@@ -610,7 +517,7 @@ def estimate_request_seconds(dev: DeviceModel, a: CSRMatrix,
     if iters < 0:
         raise ValueError(f"iters must be non-negative, got {iters}")
     batch = _check_batch(batch)
-    cost = iteration_cost_batched(dev, a, preconditioner, batch)
+    cost = iteration_cost(dev, a, preconditioner, batch)
     return cost.total * float(iters) / batch
 
 
@@ -688,9 +595,9 @@ def time_residual_check(dev: DeviceModel, a: CSRMatrix,
     one batched norm reduction — the periodic residual-replacement
     check of the detection layer."""
     batch = _check_batch(batch)
-    return (time_spmv_batched(dev, a.n_rows, a.nnz, batch)
-            + time_axpy_batched(dev, a.n_rows, batch)
-            + time_dot_batched(dev, a.n_rows, batch))
+    return (time_spmv(dev, a.n_rows, a.nnz, batch)
+            + time_axpy(dev, a.n_rows, batch)
+            + time_dot(dev, a.n_rows, batch))
 
 
 def time_staleness_check(dev: DeviceModel, nnz: int) -> float:
@@ -721,7 +628,7 @@ def time_deflation_setup(dev: DeviceModel, a: CSRMatrix,
     be cached across them."""
     m = _check_batch(basis_size)
     n = a.n_rows
-    t = time_spmv_batched(dev, n, a.nnz, m)
+    t = time_spmv(dev, n, a.nnz, m)
     flops = 2.0 * n * m * m
     bytes_ = 2.0 * n * m * dev.value_bytes
     util = min(1.0, n * m / dev.parallel_lanes)

@@ -17,8 +17,7 @@ summary).  The ledger's sections:
   occupancy from the ``queue_*``/``admit``/``shed``/``batch_end``
   stream;
 * **fleet** — routing decisions per device and per policy
-  (hash/replicate) from the ``route`` stream, plus sharded-solve counts
-  and modeled communication seconds from ``shard_solve``;
+  (hash/replicate) from the ``route`` stream;
 * **failures** — taxonomy over failed experiment variants and fallback
   attempts, plus guard-trip and fallback-recovery counts;
 * **chaos / self-healing** — injected faults by kind, corruption
@@ -65,8 +64,7 @@ def summarize_trace(events: Sequence[TraceEvent]) -> dict:
     chaos = {"faults": {}, "detections": {}, "checkpoints": 0,
              "restarts": 0, "retries": 0, "breaker_opens": 0,
              "breaker_closes": 0, "brownouts": 0}
-    fleet = {"routed": 0, "by_device": {}, "by_policy": {},
-             "shard_solves": 0, "shard_comm_seconds": 0.0}
+    fleet = {"routed": 0, "by_device": {}, "by_policy": {}}
     occ_num = occ_den = 0.0
 
     for ev in events:
@@ -150,10 +148,6 @@ def summarize_trace(events: Sequence[TraceEvent]) -> dict:
             policy = p.get("policy", "?")
             fleet["by_policy"][policy] = \
                 fleet["by_policy"].get(policy, 0) + 1
-        elif ev.kind == "shard_solve":
-            fleet["shard_solves"] += 1
-            fleet["shard_comm_seconds"] += float(
-                p.get("comm_seconds_total", 0.0))
 
     for slot in cache.values():
         n = slot["hits"] + slot["misses"]
@@ -259,19 +253,15 @@ def render_report(events: Sequence[TraceEvent]) -> str:
             out.append(f"  shed: {shed_txt}")
 
     fl = s["fleet"]
-    if fl["routed"] or fl["shard_solves"]:
+    if fl["routed"]:
         out.append("")
         out.append("## fleet")
-        if fl["routed"]:
-            dev_txt = ", ".join(f"dev{d}×{c}" for d, c in
-                                sorted(fl["by_device"].items()))
-            pol_txt = ", ".join(f"{k}×{v}" for k, v in
-                                sorted(fl["by_policy"].items()))
-            out.append(f"  routed {fl['routed']}  ({dev_txt})")
-            out.append(f"  policy: {pol_txt}")
-        if fl["shard_solves"]:
-            out.append(f"  sharded solves {fl['shard_solves']}  "
-                       f"modeled comm {fl['shard_comm_seconds']:.3g}s")
+        dev_txt = ", ".join(f"dev{d}×{c}" for d, c in
+                            sorted(fl["by_device"].items()))
+        pol_txt = ", ".join(f"{k}×{v}" for k, v in
+                            sorted(fl["by_policy"].items()))
+        out.append(f"  routed {fl['routed']}  ({dev_txt})")
+        out.append(f"  policy: {pol_txt}")
 
     ch = s["chaos"]
     if (ch["faults"] or ch["detections"] or ch["retries"]

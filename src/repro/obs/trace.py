@@ -52,9 +52,8 @@ Event kinds
     The overload policy entered/left brownout (``action`` is
     ``"enter"`` / ``"exit"``) — tolerance loosened / preconditioner
     downgraded while the modeled backlog exceeds its threshold.
-``route`` / ``shard_solve``
-    Fleet-layer routing decisions and one row-sharded solve with its
-    modeled communication seconds.
+``route``
+    Fleet-layer routing decisions.
 ``session_start`` / ``session_step`` / ``staleness``
     Amortized solve streams (:class:`repro.streams.SolveSession`): a
     session opened; one step solved (action taken, iterations, modeled
@@ -99,7 +98,7 @@ EVENT_KINDS = (
     "queue_enqueue", "queue_cancel", "admit", "shed",
     "fault_injected", "checksum_fail", "checkpoint", "restart",
     "retry", "breaker_open", "breaker_close", "brownout",
-    "route", "shard_solve",
+    "route",
     "session_start", "session_step", "staleness",
 )
 

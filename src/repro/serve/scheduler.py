@@ -15,12 +15,12 @@ a modeled-device timeline, wait in a bounded
 * **Continuous batching** — via the block solver's
   :data:`~repro.batch.SlotHook`: at every iteration boundary the
   scheduler prices the sweep that just ran at its *actual* width
-  (:func:`~repro.machine.kernels.iteration_cost_batched`), advances the
-  modeled clock, admits newly-arrived same-fingerprint requests into
-  slots freed by converged columns, sheds queued requests whose
-  deadlines already passed, and cancels running columns whose deadlines
-  expired (``timed_out``) — the same rolling-batch discipline LLM
-  inference servers use, applied to Krylov solves.
+  (:func:`~repro.machine.kernels.iteration_cost` at ``batch=width``),
+  advances the modeled clock, admits newly-arrived same-fingerprint
+  requests into slots freed by converged columns, sheds queued requests
+  whose deadlines already passed, and cancels running columns whose
+  deadlines expired (``timed_out``) — the same rolling-batch discipline
+  LLM inference servers use, applied to Krylov solves.
 
 The device executes one block at a time (single-server model): the
 modeled clock only advances by priced sweeps and by idling until the
@@ -41,9 +41,9 @@ import numpy as np
 from ..core.spcg import make_preconditioner
 from ..errors import QueueFullError
 from ..machine.device import A100, DeviceModel, get_device
-from ..machine.kernels import (estimate_request_seconds,
-                               iteration_cost_batched, time_abft_check,
-                               time_checkpoint, time_residual_check)
+from ..machine.kernels import (estimate_request_seconds, iteration_cost,
+                               time_abft_check, time_checkpoint,
+                               time_residual_check)
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_recorder
 from ..perf.cache import ArtifactCache
@@ -821,8 +821,7 @@ class ServeScheduler:
         def cost_of(width: int) -> float:
             c = cost_cache.get(width)
             if c is None:
-                c = iteration_cost_batched(self.device, a, m,
-                                           batch=width).total
+                c = iteration_cost(self.device, a, m, batch=width).total
                 if abft_on:
                     # The checksum reduction rides on every verified
                     # block SpMV.

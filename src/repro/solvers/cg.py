@@ -15,6 +15,12 @@
 
 Each iteration performs one SpMV, one preconditioner application, two
 inner products and three AXPYs — the kernel mix the machine model prices.
+
+This is the one single-vector copy of the loop: Krylov recycling
+(:func:`repro.streams.recycling_pcg`) runs it through a deflation hook
+and a Lanczos recorder, and the communication-reduced variants of
+:mod:`repro.solvers.comm` share its argument checks (:func:`_prepare`)
+and hand stalled solves to :func:`pcg`.
 """
 
 from __future__ import annotations
@@ -46,6 +52,50 @@ def _finish(rec: TraceRecorder, res: SolveResult) -> SolveResult:
     if not res.converged:
         metrics.inc(f"pcg.terminations.{res.reason.value}")
     return res
+
+
+def _prepare(a: CSRMatrix, b: np.ndarray,
+             preconditioner: Preconditioner | None,
+             criterion: StoppingCriterion | None, x0: np.ndarray | None,
+             *, block: bool = False):
+    """Validate one solve's arguments the way every CG loop needs them.
+
+    Checks that *a* is square, that *b* has shape ``(n,)`` — or
+    ``(n, B)`` with ``block=True``, where a 1-D *b* becomes one column —
+    and that the preconditioner's order matches; defaults the
+    preconditioner to the identity and the criterion to the paper's;
+    and returns ``(b, m, crit, x)`` with ``x`` a fresh iterate in the
+    working dtype ``result_type(a, b)``: zeros, or a copy of *x0* after
+    checking its shape against *b* and its entries for NaN/Inf.
+    """
+    n = a.n_rows
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"CG needs a square matrix, got {a.shape}")
+    b = np.asarray(b)
+    if block:
+        if b.ndim == 1:
+            b = b[:, None]
+        if b.ndim != 2 or b.shape[0] != n:
+            raise ShapeError(f"b must have shape ({n}, B), got {b.shape}")
+    elif b.shape != (n,):
+        raise ShapeError(f"b must have shape ({n},), got {b.shape}")
+    m = preconditioner if preconditioner is not None \
+        else IdentityPreconditioner(n)
+    if m.n != n:
+        raise ShapeError("preconditioner order does not match the matrix")
+    crit = criterion if criterion is not None \
+        else StoppingCriterion.paper_default()
+    dtype = np.result_type(a.dtype, b.dtype)
+    if x0 is None:
+        return b, m, crit, np.zeros(b.shape, dtype=dtype)
+    x = np.asarray(x0, dtype=dtype).copy()
+    if x.shape != b.shape:
+        raise ShapeError(f"x0 must have shape {b.shape}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidRequestError(
+            "x0 contains non-finite entries; a NaN/Inf warm start would "
+            "silently poison every iterate")
+    return b, m, crit, x
 
 
 def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
@@ -82,29 +132,28 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
     SolveResult
         Never raises on non-convergence; inspect ``result.reason``.
     """
+    b, m, crit, x = _prepare(a, b, preconditioner, criterion, x0)
+    return _pcg_loop(a, b, m, crit, x, callback)
+
+
+def _pcg_loop(a: CSRMatrix, b: np.ndarray, m: Preconditioner,
+              crit: StoppingCriterion, x: np.ndarray,
+              callback: Callable[[int, float], None] | None = None,
+              deflator=None, lanczos=None) -> SolveResult:
+    """Algorithm 1 from the validated arguments of :func:`_prepare`.
+
+    Two optional hooks turn it into the deflated, harvesting loop of
+    :func:`repro.streams.recycling_pcg`; without them it is plain
+    ``pcg``.  A *deflator* absorbs its subspace into the start,
+    ``x, r = deflator.galerkin(x, r)``, and every preconditioned
+    residual passes through ``deflator.project(z)`` before it enters
+    the search direction.  A *lanczos* recorder receives each step's
+    scalars on its ``alphas`` and ``betas`` lists and each accepted
+    ``(z, rᵀz)`` pair through ``lanczos.vector(z, rz)``; it only reads
+    what the loop computes.
+    """
     n = a.n_rows
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("pcg requires a square matrix")
-    b = np.asarray(b)
-    if b.shape != (n,):
-        raise ShapeError(f"b must have shape ({n},), got {b.shape}")
-    m = preconditioner if preconditioner is not None \
-        else IdentityPreconditioner(n)
-    if m.n != n:
-        raise ShapeError("preconditioner order does not match the matrix")
-    crit = criterion if criterion is not None \
-        else StoppingCriterion.paper_default()
-
-    dtype = np.result_type(a.dtype, b.dtype)
-    x = (np.zeros(n, dtype=dtype) if x0 is None
-         else np.asarray(x0, dtype=dtype).copy())
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must have shape ({n},)")
-    if x0 is not None and not np.isfinite(x).all():
-        raise InvalidRequestError(
-            "x0 contains non-finite entries; a NaN/Inf warm start would "
-            "silently poison every iterate")
-
+    dtype = x.dtype
     b_norm = float(np.linalg.norm(b))
     threshold = crit.threshold(b_norm)
 
@@ -118,6 +167,8 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
 
     # r0 = b - A x0  (skip the SpMV for the common zero initial guess)
     r = b.astype(dtype, copy=True) if not x.any() else b - a.matvec(x)
+    if deflator is not None:
+        x, r = deflator.galerkin(x, r)
     res_norms = [float(np.linalg.norm(r))]
     if callback is not None:
         try:
@@ -137,7 +188,6 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
             tolerance=threshold))
 
     z = m.apply(r)
-    p = z.astype(dtype, copy=True)
     rz = float(np.dot(r, z))
     if rz == 0.0 or not np.isfinite(rz):
         return _finish(rec, SolveResult(
@@ -145,6 +195,10 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
             residual_norms=np.array(res_norms),
             reason=TerminationReason.NUMERICAL_BREAKDOWN,
             tolerance=threshold))
+    if lanczos is not None:
+        lanczos.vector(z, rz)
+    p = z.astype(dtype, copy=True) if deflator is None \
+        else deflator.project(z)
 
     reason = TerminationReason.MAX_ITERATIONS
     abort: AbortSolve | None = None
@@ -161,6 +215,8 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
             k -= 1
             break
         alpha = rz / pw
+        if lanczos is not None:
+            lanczos.alphas.append(alpha)
         x += alpha * p
         r -= alpha * w
         r_norm = float(np.linalg.norm(r))
@@ -187,7 +243,10 @@ def pcg(a: CSRMatrix, b: np.ndarray, preconditioner: Preconditioner | None
             break
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        if lanczos is not None:
+            lanczos.betas.append(beta)
+            lanczos.vector(z, rz)
+        p = (z if deflator is None else deflator.project(z)) + beta * p
 
     return _finish(rec, SolveResult(
         x=x,

@@ -54,11 +54,9 @@ import math
 
 import numpy as np
 
-from ..errors import ShapeError
 from ..precond.base import Preconditioner
-from ..precond.identity import IdentityPreconditioner
 from ..sparse.csr import CSRMatrix
-from .cg import pcg
+from .cg import _prepare, pcg
 from .result import SolveResult, TerminationReason
 from .stopping import StoppingCriterion
 
@@ -69,29 +67,13 @@ def _norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
 
-def _block_dispatch(solve_one, a, b, x0):
-    """Run *solve_one* per column of a 2-D right-hand side block."""
-    b = np.asarray(b)
-    results = []
-    for j in range(b.shape[1]):
-        xj = None if x0 is None else np.asarray(x0)[:, j]
-        results.append(solve_one(np.ascontiguousarray(b[:, j]), xj))
-    return results
-
-
-def _setup(a: CSRMatrix, b: np.ndarray,
-           preconditioner: Preconditioner | None,
-           criterion: StoppingCriterion | None):
-    n = a.n_rows
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("cg variants require a square matrix")
-    m = preconditioner if preconditioner is not None \
-        else IdentityPreconditioner(n)
-    if m.n != n:
-        raise ShapeError("preconditioner order does not match the matrix")
-    crit = criterion if criterion is not None \
-        else StoppingCriterion.paper_default()
-    return m, crit
+def _per_column(solve_one, a, b, preconditioner, criterion, x0):
+    """Solve an ``(n, B)`` block column by column with *solve_one*,
+    after checking the whole block and ``x0`` against each other."""
+    b, _, _, x = _prepare(a, b, preconditioner, criterion, x0, block=True)
+    return [solve_one(np.ascontiguousarray(b[:, j]),
+                      None if x0 is None else x[:, j])
+            for j in range(b.shape[1])]
 
 
 #: A block/verification that fails to shrink the *true* residual below
@@ -101,14 +83,48 @@ def _setup(a: CSRMatrix, b: np.ndarray,
 _STALL_RATIO = 0.9
 
 
-def _pcg_tail(a, b_arr, m, x, crit, iters_used):
-    """Finish a stalled solve with warm-started standard PCG."""
-    remaining = crit.max_iters - iters_used
-    if remaining <= 0:
-        return None
-    return pcg(a, b_arr, m, x0=x,
-               criterion=StoppingCriterion(rtol=crit.rtol, atol=crit.atol,
-                                           max_iters=remaining))
+class _Run:
+    """State one communication-reduced solve shares with its exits: the
+    checked problem, the residual history, the ``extra["comm"]``
+    counters, and the warm-started ``pcg`` a stalled recurrence hands
+    the remaining iteration budget to."""
+
+    def __init__(self, a: CSRMatrix, b: np.ndarray,
+                 preconditioner: Preconditioner | None,
+                 criterion: StoppingCriterion | None,
+                 x0: np.ndarray | None, comm: dict):
+        self.a = a
+        self.b, self.m, self.crit, self.x = _prepare(
+            a, b, preconditioner, criterion, x0)
+        self.b_norm = _norm(self.b)
+        self.threshold = self.crit.threshold(self.b_norm)
+        self.res_norms: list[float] = []
+        self.comm = comm
+
+    def finish(self, reason: TerminationReason, iters: int) -> SolveResult:
+        return SolveResult(
+            x=self.x, converged=reason is TerminationReason.CONVERGED,
+            n_iters=iters,
+            residual_norms=np.asarray(self.res_norms, dtype=float),
+            reason=reason, tolerance=self.threshold,
+            extra={"comm": dict(self.comm)})
+
+    def fallback(self, reason: TerminationReason, iters: int) -> SolveResult:
+        """Finish a stalled solve with warm-started standard PCG;
+        *reason* stands when no iteration budget is left."""
+        crit = self.crit
+        remaining = crit.max_iters - iters
+        if remaining <= 0:
+            return self.finish(reason, iters)
+        tail = pcg(self.a, self.b, self.m, x0=self.x,
+                   criterion=StoppingCriterion(rtol=crit.rtol,
+                                               atol=crit.atol,
+                                               max_iters=remaining))
+        self.x = tail.x
+        self.res_norms.extend(tail.residual_norms[1:].tolist())
+        self.comm["allreduces"] += 3 * tail.n_iters
+        self.comm["fallback_iters"] = tail.n_iters
+        return self.finish(tail.reason, iters + tail.n_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -132,53 +148,24 @@ def pipelined_cg(a: CSRMatrix, b: np.ndarray,
     Returns a :class:`SolveResult` for a 1-D ``b``, or a list of
     per-column results for an ``(n, B)`` block.
     """
-    b_arr = np.asarray(b)
-    if b_arr.ndim == 2:
-        return _block_dispatch(
+    if np.ndim(b) == 2:
+        return _per_column(
             lambda bj, xj: pipelined_cg(a, bj, preconditioner, x0=xj,
                                         criterion=criterion),
-            a, b_arr, x0)
-    m, crit = _setup(a, b_arr, preconditioner, criterion)
+            a, b, preconditioner, criterion, x0)
+    run = _Run(a, b, preconditioner, criterion, x0,
+               {"variant": "pipelined", "allreduces": 0,
+                "scalars_per_allreduce": 3, "verifications": 0,
+                "fallback_iters": 0})
+    b_arr, m, crit, x = run.b, run.m, run.crit, run.x
+    comm, res_norms, b_norm = run.comm, run.res_norms, run.b_norm
     n = a.n_rows
-    if b_arr.shape != (n,):
-        raise ShapeError(f"b must have shape ({n},), got {b_arr.shape}")
-    dtype = np.result_type(a.dtype, b_arr.dtype)
-    x = (np.zeros(n, dtype=dtype) if x0 is None
-         else np.asarray(x0, dtype=dtype).copy())
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must have shape ({n},)")
-    b_norm = _norm(b_arr)
-    threshold = crit.threshold(b_norm)
-    allreduces = 0
-    verifications = 0
-    fallback_iters = 0
-
-    def finish(reason, k, res_norms):
-        return SolveResult(
-            x=x, converged=reason is TerminationReason.CONVERGED,
-            n_iters=k, residual_norms=np.asarray(res_norms, dtype=float),
-            reason=reason, tolerance=threshold,
-            extra={"comm": {"variant": "pipelined",
-                            "allreduces": allreduces,
-                            "scalars_per_allreduce": 3,
-                            "verifications": verifications,
-                            "fallback_iters": fallback_iters}})
-
-    def fallback(fail_reason, k, res_norms):
-        nonlocal x, allreduces, fallback_iters
-        tail = _pcg_tail(a, b_arr, m, x, crit, k)
-        if tail is None:
-            return finish(fail_reason, k, res_norms)
-        x = tail.x
-        res_norms.extend(tail.residual_norms[1:].tolist())
-        allreduces += 3 * tail.n_iters
-        fallback_iters = tail.n_iters
-        return finish(tail.reason, k + tail.n_iters, res_norms)
+    dtype = x.dtype
 
     r = b_arr.astype(dtype, copy=True) if not x.any() else b_arr - a.matvec(x)
-    res_norms = [_norm(r)]
+    res_norms.append(_norm(r))
     if crit.is_met(res_norms[0], b_norm):
-        return finish(TerminationReason.CONVERGED, 0, res_norms)
+        return run.finish(TerminationReason.CONVERGED, 0)
     u = m.apply(r)
     w = a.matvec(u)
 
@@ -197,10 +184,10 @@ def pipelined_cg(a: CSRMatrix, b: np.ndarray,
         # together; it overlaps the M⁻¹w / A(M⁻¹w) applications below.
         gamma = float(np.dot(r, u))
         delta = float(np.dot(w, u))
-        allreduces += 1
+        comm["allreduces"] += 1
         if gamma == 0.0 or not math.isfinite(gamma):
-            return fallback(TerminationReason.NUMERICAL_BREAKDOWN,
-                            k - 1, res_norms)
+            return run.fallback(TerminationReason.NUMERICAL_BREAKDOWN,
+                                k - 1)
         mw = m.apply(w)
         nw = a.matvec(mw)
         if k > 1:
@@ -213,7 +200,7 @@ def pipelined_cg(a: CSRMatrix, b: np.ndarray,
         # non-positive or non-finite value may be genuine indefiniteness
         # or recurrence drift — either way standard PCG is the arbiter.
         if not math.isfinite(denom) or denom <= 0.0:
-            return fallback(TerminationReason.INDEFINITE, k - 1, res_norms)
+            return run.fallback(TerminationReason.INDEFINITE, k - 1)
         alpha = gamma / denom
         z = nw + beta * z
         q = mw + beta * q
@@ -230,22 +217,20 @@ def pipelined_cg(a: CSRMatrix, b: np.ndarray,
             if not np.isfinite(x).all():
                 reason = TerminationReason.NUMERICAL_BREAKDOWN
                 break
-            return fallback(TerminationReason.NUMERICAL_BREAKDOWN,
-                            k, res_norms)
+            return run.fallback(TerminationReason.NUMERICAL_BREAKDOWN, k)
         if crit.is_met(r_norm, b_norm):
             # Convergence is only declared on a verified true residual
             # (one extra reduction): the pipelined recurrence drifts.
             r_true = b_arr - a.matvec(x)
             true_norm = _norm(r_true)
-            verifications += 1
-            allreduces += 1
+            comm["verifications"] += 1
+            comm["allreduces"] += 1
             res_norms[-1] = true_norm
             if crit.is_met(true_norm, b_norm):
                 reason = TerminationReason.CONVERGED
                 break
             if last_true is not None and true_norm > _STALL_RATIO * last_true:
-                return fallback(TerminationReason.MAX_ITERATIONS,
-                                k, res_norms)
+                return run.fallback(TerminationReason.MAX_ITERATIONS, k)
             last_true = true_norm
             # Residual replacement: rebuild every recurrence vector from
             # x and p, discarding the accumulated drift.
@@ -255,7 +240,7 @@ def pipelined_cg(a: CSRMatrix, b: np.ndarray,
             s_vec = a.matvec(p)
             q = m.apply(s_vec)
             z = a.matvec(q)
-    return finish(reason, k, res_norms)
+    return run.finish(reason, k)
 
 
 # ---------------------------------------------------------------------------
@@ -309,65 +294,37 @@ def s_step_cg(a: CSRMatrix, b: np.ndarray,
     s = int(s)
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
-    b_arr = np.asarray(b)
-    if b_arr.ndim == 2:
-        return _block_dispatch(
+    if np.ndim(b) == 2:
+        return _per_column(
             lambda bj, xj: s_step_cg(a, bj, preconditioner, s=s, x0=xj,
                                      criterion=criterion),
-            a, b_arr, x0)
+            a, b, preconditioner, criterion, x0)
     if s == 1:
-        res = pcg(a, b_arr, preconditioner, x0=x0, criterion=criterion)
+        res = pcg(a, b, preconditioner, x0=x0, criterion=criterion)
         res.extra["comm"] = {"variant": "s_step", "s": 1,
                              "allreduces": res.n_iters,
                              "scalars_per_allreduce": 3,
                              "blocks": res.n_iters,
                              "fallback_iters": 0, "s_final": 1}
         return res
-    m, crit = _setup(a, b_arr, preconditioner, criterion)
-    n = a.n_rows
-    if b_arr.shape != (n,):
-        raise ShapeError(f"b must have shape ({n},), got {b_arr.shape}")
-    dtype = np.result_type(a.dtype, b_arr.dtype, np.float64)
-    x = (np.zeros(n, dtype=dtype) if x0 is None
-         else np.asarray(x0, dtype=dtype).copy())
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must have shape ({n},)")
-    b_norm = _norm(b_arr)
-    threshold = crit.threshold(b_norm)
     k_basis = 2 * s + 1
-    allreduces = 0
-    blocks = 0
-    fallback_iters = 0
+    run = _Run(a, b, preconditioner, criterion, x0,
+               {"variant": "s_step", "s": s, "allreduces": 0,
+                "scalars_per_allreduce": k_basis * k_basis, "blocks": 0,
+                "fallback_iters": 0, "s_final": s})
+    # The coefficient-space recurrences run in at least float64.
+    run.x = run.x.astype(np.result_type(run.x.dtype, np.float64),
+                         copy=False)
+    b_arr, m, crit, x = run.b, run.m, run.crit, run.x
+    comm, res_norms, b_norm = run.comm, run.res_norms, run.b_norm
+    n = a.n_rows
+    dtype = x.dtype
     s_eff = s
 
-    def finish(reason, iters, res_norms):
-        return SolveResult(
-            x=x, converged=reason is TerminationReason.CONVERGED,
-            n_iters=iters, residual_norms=np.asarray(res_norms,
-                                                     dtype=float),
-            reason=reason, tolerance=threshold,
-            extra={"comm": {"variant": "s_step", "s": s,
-                            "allreduces": allreduces,
-                            "scalars_per_allreduce": k_basis * k_basis,
-                            "blocks": blocks,
-                            "fallback_iters": fallback_iters,
-                            "s_final": s_eff}})
-
-    def fallback(fail_reason, iters, res_norms):
-        nonlocal x, allreduces, fallback_iters
-        tail = _pcg_tail(a, b_arr, m, x, crit, iters)
-        if tail is None:
-            return finish(fail_reason, iters, res_norms)
-        x = tail.x
-        res_norms.extend(tail.residual_norms[1:].tolist())
-        allreduces += 3 * tail.n_iters
-        fallback_iters = tail.n_iters
-        return finish(tail.reason, iters + tail.n_iters, res_norms)
-
     r = b_arr.astype(dtype, copy=True) if not x.any() else b_arr - a.matvec(x)
-    res_norms = [_norm(r)]
+    res_norms.append(_norm(r))
     if crit.is_met(res_norms[0], b_norm):
-        return finish(TerminationReason.CONVERGED, 0, res_norms)
+        return run.finish(TerminationReason.CONVERGED, 0)
     z = m.apply(r)
     p = z.copy()
     mp = r.copy()          # M·p, maintained alongside p (p₀ = z ⇒ Mp₀ = r)
@@ -377,7 +334,7 @@ def s_step_cg(a: CSRMatrix, b: np.ndarray,
     iters = 0
     reason = TerminationReason.MAX_ITERATIONS
     while iters < crit.max_iters:
-        blocks += 1
+        comm["blocks"] += 1
         # ---- basis construction: 2s−1 operator applications ----------
         v_basis = np.empty((n, k_eff), dtype=dtype)
         u_basis = np.empty((n, k_eff), dtype=dtype)
@@ -396,10 +353,10 @@ def s_step_cg(a: CSRMatrix, b: np.ndarray,
         gram = 0.5 * (gram + gram.T)
         hgram = u_basis.T @ u_basis         # Euclidean, for ‖r‖
         hgram = 0.5 * (hgram + hgram.T)
-        allreduces += 1
+        comm["allreduces"] += 1
         if not (np.isfinite(gram).all() and np.isfinite(hgram).all()):
-            return fallback(TerminationReason.NUMERICAL_BREAKDOWN,
-                            iters, res_norms)
+            return run.fallback(TerminationReason.NUMERICAL_BREAKDOWN,
+                                iters)
         # ---- s inner iterations in coefficient space -----------------
         c_p = np.zeros(k_eff)
         c_p[0] = 1.0
@@ -408,8 +365,8 @@ def s_step_cg(a: CSRMatrix, b: np.ndarray,
         c_x = np.zeros(k_eff)
         gamma = float(c_z @ gram @ c_z)     # (r, z)
         if gamma == 0.0 or not math.isfinite(gamma):
-            return fallback(TerminationReason.NUMERICAL_BREAKDOWN,
-                            iters, res_norms)
+            return run.fallback(TerminationReason.NUMERICAL_BREAKDOWN,
+                                iters)
         inner_break = None
         for _ in range(s_eff):
             w_c = bmat @ c_p
@@ -438,18 +395,18 @@ def s_step_cg(a: CSRMatrix, b: np.ndarray,
             gamma = gamma_new
             c_p = c_z + beta * c_p
         # ---- reconstruction + residual replacement -------------------
-        x = x + v_basis @ c_x
+        x += v_basis @ c_x
         if not np.isfinite(x).all():
             reason = TerminationReason.NUMERICAL_BREAKDOWN
             break
         if inner_break is not None:
-            return fallback(inner_break, iters, res_norms)
+            return run.fallback(inner_break, iters)
         # Verify against the true residual (second reduction per outer
         # step): the recurrence norms above came through the monomial
         # Gram matrix, whose conditioning grows like κ(Q)^s.
         r = b_arr - a.matvec(x)
         true_norm = _norm(r)
-        allreduces += 1
+        comm["allreduces"] += 1
         res_norms[-1] = true_norm
         if not math.isfinite(true_norm):
             reason = TerminationReason.NUMERICAL_BREAKDOWN
@@ -464,9 +421,10 @@ def s_step_cg(a: CSRMatrix, b: np.ndarray,
             # verified residual); below s=2 hand over to standard PCG.
             last_true = true_norm
             s_eff //= 2
+            comm["s_final"] = s_eff
             if s_eff < 2:
-                return fallback(TerminationReason.MAX_ITERATIONS,
-                                iters, res_norms)
+                return run.fallback(TerminationReason.MAX_ITERATIONS,
+                                    iters)
             bmat = _shift_matrix(s_eff)
             k_eff = 2 * s_eff + 1
             p = z.copy()
@@ -475,4 +433,4 @@ def s_step_cg(a: CSRMatrix, b: np.ndarray,
         last_true = true_norm
         p = v_basis @ c_p
         mp = u_basis @ c_p
-    return finish(reason, iters, res_norms)
+    return run.finish(reason, iters)

@@ -27,10 +27,12 @@ count; :func:`recycling_pcg` harvests the ``m`` smallest into a
   spectrum is the undeflated remainder (init-CG / deflated-CG in the
   sense of Saad, Yeung, Erhel & Guyomarc'h).
 
-With an empty basis the loop *is* :func:`repro.solvers.cg.pcg` —
-operation-for-operation, so results agree bitwise (property-tested) —
-and the harvesting side channel only records scalars/vectors the
-iteration already produced.  The machine model prices the projection at
+Both run inside ``pcg``'s own loop, as its deflation hook and Lanczos
+recorder, so with an empty basis :func:`recycling_pcg` *is*
+:func:`repro.solvers.cg.pcg` operation for operation and results agree
+bitwise (property-tested); the recorder only keeps scalars and vectors
+the iteration already produced, and only when a harvest is asked for.
+The machine model prices the projection at
 :func:`repro.machine.kernels.time_deflation_apply` per iteration and
 :func:`~repro.machine.kernels.time_deflation_setup` per solve.
 """
@@ -42,14 +44,12 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import AbortSolve, InvalidRequestError, ShapeError
+from ..errors import ShapeError
 from ..precond.base import Preconditioner
-from ..precond.identity import IdentityPreconditioner
-from ..solvers.cg import _finish
-from ..solvers.result import SolveResult, TerminationReason
+from ..solvers.cg import _pcg_loop, _prepare
+from ..solvers.result import SolveResult
 from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
-from ..obs.trace import get_recorder
 
 __all__ = ["RecycleBasis", "harvest_ritz", "recycling_pcg"]
 
@@ -154,7 +154,7 @@ def _merge_bases(old: RecycleBasis, new: RecycleBasis,
 class _Deflator:
     """Galerkin projector state for one solve: ``AW``, the Cholesky
     factor of ``G = WᵀAW``, and the two projections deflated PCG
-    needs."""
+    needs — ``pcg``'s deflation hook."""
 
     def __init__(self, a: CSRMatrix, w: np.ndarray):
         self.w = w
@@ -178,6 +178,23 @@ class _Deflator:
         """A-orthogonalize against the basis:
         ``z − W G⁻¹ (AW)ᵀ z``."""
         return z - self.w @ self.gsolve(self.aw.T @ z)
+
+
+class _Lanczos:
+    """``pcg``'s Lanczos recorder: every ``alpha_k`` and ``beta_k``, and
+    the first ``max_store`` normalized preconditioned residuals
+    ``z_k / sqrt(r_kᵀ z_k)``."""
+
+    def __init__(self, max_store: int):
+        self.alphas: list[float] = []
+        self.betas: list[float] = []
+        self.vectors: list[np.ndarray] = []
+        self.max_store = max_store
+
+    def vector(self, z: np.ndarray, rz: float) -> None:
+        if len(self.vectors) < self.max_store:
+            self.vectors.append(
+                np.asarray(z / np.sqrt(rz), dtype=np.float64))
 
 
 def recycling_pcg(a: CSRMatrix, b: np.ndarray,
@@ -210,35 +227,9 @@ def recycling_pcg(a: CSRMatrix, b: np.ndarray,
 
     Returns ``(result, new_basis_or_None)``.
     """
+    b, m, crit, x = _prepare(a, b, preconditioner, criterion, x0)
     n = a.n_rows
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("recycling_pcg requires a square matrix")
-    b = np.asarray(b)
-    if b.shape != (n,):
-        raise ShapeError(f"b must have shape ({n},), got {b.shape}")
-    m = preconditioner if preconditioner is not None \
-        else IdentityPreconditioner(n)
-    if m.n != n:
-        raise ShapeError("preconditioner order does not match the matrix")
-    crit = criterion if criterion is not None \
-        else StoppingCriterion.paper_default()
-
-    dtype = np.result_type(a.dtype, b.dtype)
-    x = (np.zeros(n, dtype=dtype) if x0 is None
-         else np.asarray(x0, dtype=dtype).copy())
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must have shape ({n},)")
-    if x0 is not None and not np.isfinite(x).all():
-        raise InvalidRequestError(
-            "x0 contains non-finite entries; a NaN/Inf warm start would "
-            "silently poison every iterate")
-
     harvest = int(harvest)
-    max_store = max(int(max_store), 0)
-    alphas: list[float] = []
-    betas: list[float] = []
-    lanczos: list[np.ndarray] = []
-
     deflator: _Deflator | None = None
     basis_dropped = False
     if basis is not None and basis.size > 0:
@@ -247,118 +238,23 @@ def recycling_pcg(a: CSRMatrix, b: np.ndarray,
                 f"basis vectors must have length {n}, "
                 f"got {basis.w.shape[0]}")
         try:
-            deflator = _Deflator(a, np.asarray(basis.w, dtype=dtype))
+            deflator = _Deflator(a, np.asarray(basis.w, dtype=x.dtype))
         except np.linalg.LinAlgError:
-            deflator = None
             basis_dropped = True
+    lanczos = _Lanczos(max(int(max_store), 0)) if harvest > 0 else None
 
-    cap = max_basis if max_basis is not None else 4 * max(harvest, 1)
+    res = _pcg_loop(a, b, m, crit, x, callback, deflator, lanczos)
 
-    def tag(res: SolveResult) -> tuple[SolveResult, RecycleBasis | None]:
-        new = (harvest_ritz(alphas, betas, lanczos, harvest, res.n_iters)
-               if harvest > 0 else None)
-        if new is not None and deflator is not None and basis is not None:
+    new = None
+    if lanczos is not None:
+        new = harvest_ritz(lanczos.alphas, lanczos.betas, lanczos.vectors,
+                           harvest, res.n_iters)
+        if new is not None and deflator is not None:
+            cap = max_basis if max_basis is not None else 4 * harvest
             new = _merge_bases(basis, new, cap)
-        res.extra["recycle"] = {
-            "deflated": 0 if deflator is None else deflator.w.shape[1],
-            "harvested": 0 if new is None else new.size,
-            "basis_dropped": basis_dropped,
-        }
-        return _finish(rec, res), new
-
-    b_norm = float(np.linalg.norm(b))
-    threshold = crit.threshold(b_norm)
-    rec = get_recorder()
-    if rec.enabled:
-        rec.emit("solve_start", n=n, nnz=a.nnz, precond=m.name,
-                 max_iters=crit.max_iters, tolerance=threshold,
-                 deflated=0 if deflator is None else deflator.w.shape[1])
-
-    r = b.astype(dtype, copy=True) if not x.any() else b - a.matvec(x)
-    if deflator is not None:
-        x, r = deflator.galerkin(x, r)
-    res_norms = [float(np.linalg.norm(r))]
-    if callback is not None:
-        try:
-            callback(0, res_norms[0])
-        except AbortSolve as exc:
-            return tag(SolveResult(
-                x=x, converged=False, n_iters=0,
-                residual_norms=np.array(res_norms),
-                reason=TerminationReason.GUARD_TRIPPED,
-                tolerance=threshold, extra={"abort": exc}))
-    if crit.is_met(res_norms[0], b_norm):
-        return tag(SolveResult(
-            x=x, converged=True, n_iters=0,
-            residual_norms=np.array(res_norms),
-            reason=TerminationReason.CONVERGED, tolerance=threshold))
-
-    z = m.apply(r)
-    rz = float(np.dot(r, z))
-    if rz == 0.0 or not np.isfinite(rz):
-        return tag(SolveResult(
-            x=x, converged=False, n_iters=0,
-            residual_norms=np.array(res_norms),
-            reason=TerminationReason.NUMERICAL_BREAKDOWN,
-            tolerance=threshold))
-    if len(lanczos) < max_store:
-        lanczos.append(np.asarray(z / np.sqrt(rz), dtype=np.float64))
-    p = (z.astype(dtype, copy=True) if deflator is None
-         else deflator.project(z))
-
-    reason = TerminationReason.MAX_ITERATIONS
-    abort: AbortSolve | None = None
-    k = 0
-    for k in range(1, crit.max_iters + 1):
-        w = a.matvec(p)
-        pw = float(np.dot(p, w))
-        if not np.isfinite(pw):
-            reason = TerminationReason.NUMERICAL_BREAKDOWN
-            k -= 1
-            break
-        if pw <= 0.0:
-            reason = TerminationReason.INDEFINITE
-            k -= 1
-            break
-        alpha = rz / pw
-        alphas.append(alpha)
-        x += alpha * p
-        r -= alpha * w
-        r_norm = float(np.linalg.norm(r))
-        res_norms.append(r_norm)
-        if rec.enabled:
-            rec.emit("iteration", k=k, r_norm=r_norm)
-        if callback is not None:
-            try:
-                callback(k, r_norm)
-            except AbortSolve as exc:
-                reason = TerminationReason.GUARD_TRIPPED
-                abort = exc
-                break
-        if not np.isfinite(r_norm):
-            reason = TerminationReason.NUMERICAL_BREAKDOWN
-            break
-        if crit.is_met(r_norm, b_norm):
-            reason = TerminationReason.CONVERGED
-            break
-        z = m.apply(r)
-        rz_new = float(np.dot(r, z))
-        if rz_new == 0.0 or not np.isfinite(rz_new):
-            reason = TerminationReason.NUMERICAL_BREAKDOWN
-            break
-        beta = rz_new / rz
-        betas.append(beta)
-        rz = rz_new
-        if len(lanczos) < max_store:
-            lanczos.append(np.asarray(z / np.sqrt(rz), dtype=np.float64))
-        p = (z if deflator is None else deflator.project(z)) + beta * p
-
-    if abort is not None:
-        return tag(SolveResult(
-            x=x, converged=False, n_iters=k,
-            residual_norms=np.asarray(res_norms), reason=reason,
-            tolerance=threshold, extra={"abort": abort}))
-    return tag(SolveResult(
-        x=x, converged=reason is TerminationReason.CONVERGED,
-        n_iters=k, residual_norms=np.asarray(res_norms), reason=reason,
-        tolerance=threshold))
+    res.extra["recycle"] = {
+        "deflated": 0 if deflator is None else deflator.w.shape[1],
+        "harvested": 0 if new is None else new.size,
+        "basis_dropped": basis_dropped,
+    }
+    return res, new

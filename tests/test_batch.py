@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.batch import (BatchReport, BlockSolveResult, SolveRequest,
-                         SolverService, pcg_block)
+from repro.batch import (BatchReport, SolveRequest, SolverService,
+                         pcg_block)
 from repro.errors import AbortSolve, ShapeError
+from repro.datasets import load
 from repro.harness import run_batch_scaling
-from repro.machine import (A100, iteration_cost, iteration_cost_batched,
-                           time_axpy, time_axpy_batched, time_dot,
-                           time_dot_batched, time_spmv, time_spmv_batched,
-                           time_trisolve, time_trisolve_batched)
+from repro.machine import (A100, EPYC_7413, iteration_cost, time_dot,
+                           time_spmv, time_trisolve)
 from repro.obs import TraceRecorder, get_metrics, use_recorder
 from repro.precond import (ILU0Preconditioner, JacobiPreconditioner,
                            SSORPreconditioner, ScheduledTriangularSolver)
@@ -224,25 +223,22 @@ class TestBatchedApply:
 
 
 class TestBatchedPricing:
-    def test_batch_one_reproduces_unbatched(self, poisson16):
-        dev = A100
-        n, nnz = poisson16.n_rows, poisson16.nnz
-        assert time_spmv_batched(dev, n, nnz, 1) == time_spmv(dev, n, nnz)
-        assert time_dot_batched(dev, n, 1) == time_dot(dev, n)
-        assert time_axpy_batched(dev, n, 1) == time_axpy(dev, n)
-        m = ILU0Preconditioner(poisson16)
-        fwd, _ = m.solvers()
-        rf, nf = fwd.kernel_profile()
-        assert time_trisolve_batched(dev, rf, nf, 1) == \
-            time_trisolve(dev, rf, nf)
-        assert iteration_cost_batched(dev, poisson16, m, 1) == \
-            iteration_cost(dev, poisson16, m)
+    def test_batch_one_reproduces_unbatched(self):
+        # At batch=1 the batched rules are the single-vector ones: these
+        # literals are what the separate single-vector formulas priced,
+        # on a matrix whose kernels sit above the latency floor.
+        a = load("structural_2500_s104")
+        m = ILU0Preconditioner(a)
+        rf, nf = m.solvers()[0].kernel_profile()
+        assert time_spmv(EPYC_7413, a.n_rows, a.nnz) == 1.101131707317073e-06
+        assert time_trisolve(EPYC_7413, rf, nf) == 0.00016199999999999998
+        assert iteration_cost(EPYC_7413, a, m).total == 0.0003293011317073171
 
     def test_per_rhs_cost_strictly_decreases(self, poisson16):
         # The acceptance bar: B=8 per-RHS modeled cost strictly below
         # B=1 on a wavefront-bound matrix, and monotone in between.
         m = ILU0Preconditioner(poisson16)
-        per_rhs = [iteration_cost_batched(A100, poisson16, m, nb).total / nb
+        per_rhs = [iteration_cost(A100, poisson16, m, nb).total / nb
                    for nb in (1, 2, 4, 8)]
         assert all(b < a for a, b in zip(per_rhs, per_rhs[1:]))
         assert per_rhs[-1] < per_rhs[0]
@@ -252,16 +248,16 @@ class TestBatchedPricing:
         # Overhead-dominated at this size: total block time may not grow
         # at all with B (bodies sit at the min-kernel-time floor), and
         # must never reach B solo iterations.
-        t1 = iteration_cost_batched(A100, poisson16, m, 1).total
-        t8 = iteration_cost_batched(A100, poisson16, m, 8).total
+        t1 = iteration_cost(A100, poisson16, m, 1).total
+        t8 = iteration_cost(A100, poisson16, m, 8).total
         assert t1 <= t8 < 8 * t1
 
     def test_invalid_batch_rejected(self, poisson16):
         m = JacobiPreconditioner(poisson16)
         with pytest.raises(ValueError):
-            iteration_cost_batched(A100, poisson16, m, 0)
+            iteration_cost(A100, poisson16, m, 0)
         with pytest.raises(ValueError):
-            time_dot_batched(A100, 10, -1)
+            time_dot(A100, 10, -1)
 
 
 class TestSolverService:

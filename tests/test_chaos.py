@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.batch import SlotDecision, VerifyConfig, pcg_block
-from repro.chaos import (ChaosConfig, ChaosEvent, ChaosPlan, FaultKind,
+from repro.chaos import (ChaosConfig, ChaosPlan, FaultKind,
                          run_chaos_study)
 from repro.chaos.plan import _flip_bit
 from repro.core.spcg import make_preconditioner

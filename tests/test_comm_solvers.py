@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.spcg import make_preconditioner
+from repro.errors import InvalidRequestError, ShapeError
+from repro.precond import JacobiPreconditioner
 from repro.solvers import (StoppingCriterion, TerminationReason, pcg,
                            pipelined_cg, s_step_cg)
 from repro.sparse import random_spd, stencil_poisson_2d
@@ -177,3 +179,48 @@ class TestEdgesAndBreakdowns:
                     s_step_cg(a, b, s=4, criterion=tight)):
             assert res.n_iters <= 3
             assert not res.converged
+
+
+class CountingJacobi(JacobiPreconditioner):
+    """Jacobi that counts its applications."""
+
+    applies = 0
+
+    def apply(self, r):
+        self.applies += 1
+        return super().apply(r)
+
+
+VARIANTS = {"pipelined": pipelined_cg,
+            "s_step": lambda *args, **kw: s_step_cg(*args, s=2, **kw)}
+
+
+class TestX0Checks:
+    """``x0`` is checked against the whole right-hand side before any
+    column is solved or any operator applied."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_block_x0_with_extra_column_rejected(self, variant):
+        a = stencil_poisson_2d(5)
+        b = np.ones((a.n_rows, 2))
+        with pytest.raises(ShapeError):
+            VARIANTS[variant](a, b, x0=np.zeros((a.n_rows, 3)),
+                              criterion=CRIT)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_vector_x0_for_block_is_shape_error(self, variant):
+        a = stencil_poisson_2d(5)
+        b = np.ones((a.n_rows, 2))
+        with pytest.raises(ShapeError):
+            VARIANTS[variant](a, b, x0=np.zeros(a.n_rows), criterion=CRIT)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_nan_x0_rejected_before_any_apply(self, variant):
+        a = stencil_poisson_2d(5)
+        m = CountingJacobi(a)
+        x0 = np.zeros(a.n_rows)
+        x0[3] = np.nan
+        with pytest.raises(InvalidRequestError):
+            VARIANTS[variant](a, np.ones(a.n_rows), m, x0=x0,
+                              criterion=CRIT)
+        assert m.applies == 0

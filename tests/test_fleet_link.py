@@ -11,14 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeviceModelError
 from repro.fleet import (FleetScheduler, halo_exchange_seconds,
-                         partition_rows, plan_row_shards, shard_matvec,
-                         sharded_pcg)
+                         plan_row_shards, shard_comm_seconds, shard_matvec)
 from repro.machine import (IB_HDR, NVLINK, PCIE4, ZERO_LINK, LinkModel,
                            get_link, time_allreduce, time_halo_exchange,
                            time_point_to_point)
 from repro.perf.cache import ArtifactCache
 from repro.serve import ServeScheduler
-from repro.solvers import StoppingCriterion, pcg
 from repro.sparse import CSRMatrix, random_spd, stencil_poisson_2d
 
 LINKS = (NVLINK, PCIE4, IB_HDR)
@@ -126,10 +124,10 @@ class TestHaloInvariants:
         assert halo_exchange_seconds(plan, NVLINK) == 0.0
 
     def test_partition_rows_balanced(self):
-        bounds = partition_rows(10, 3)
-        assert bounds == (0, 4, 7, 10)
+        eye = lambda n: CSRMatrix.from_dense(np.eye(n))
+        assert plan_row_shards(eye(10), 3).bounds == (0, 4, 7, 10)
         with pytest.raises(ValueError):
-            partition_rows(2, 3)
+            plan_row_shards(eye(2), 3)
 
     def test_shard_matvec_matches_fused_kernel(self):
         a = random_spd(90, density=0.07, seed=5)
@@ -139,34 +137,26 @@ class TestHaloInvariants:
                                       a.matvec(x))
 
 
-class TestShardedSolve:
-    def test_iterates_bitwise_pcg_any_shard_count(self):
-        a = stencil_poisson_2d(10)
-        b = np.random.default_rng(2).standard_normal(a.n_rows)
-        crit = StoppingCriterion(rtol=1e-10, atol=0.0, max_iters=500)
-        ref = pcg(a, b, criterion=crit)
-        for n_shards in (1, 2, 4):
-            res = sharded_pcg(a, b, n_shards=n_shards, link=NVLINK,
-                              criterion=crit)
-            assert np.array_equal(ref.x, res.x)
-            assert np.array_equal(ref.residual_norms, res.residual_norms)
-
+class TestShardCommCost:
     def test_single_shard_comm_exactly_zero(self):
-        a = stencil_poisson_2d(6)
-        b = np.ones(a.n_rows)
-        res = sharded_pcg(a, b, n_shards=1, link=IB_HDR)
-        shard = res.extra["shard"]
-        assert shard["comm_seconds_per_iter"] == 0.0
-        assert shard["comm_seconds_total"] == 0.0
+        plan = plan_row_shards(stencil_poisson_2d(6), 1)
+        for link in LINKS:
+            assert shard_comm_seconds(plan, link) == 0.0
 
-    def test_multi_shard_comm_positive_and_reported(self):
+    def test_halo_plus_three_allreduces(self):
         a = stencil_poisson_2d(8)
-        b = np.ones(a.n_rows)
-        res = sharded_pcg(a, b, n_shards=4, link=NVLINK)
-        shard = res.extra["shard"]
-        assert shard["comm_seconds_per_iter"] > 0.0
-        assert shard["comm_seconds_total"] == pytest.approx(
-            res.n_iters * shard["comm_seconds_per_iter"])
+        for n_shards in (1, 2, 4):
+            plan = plan_row_shards(a, n_shards)
+            for link in LINKS:
+                for vb in (4, 8):
+                    assert shard_comm_seconds(plan, link, value_bytes=vb) \
+                        == (halo_exchange_seconds(plan, link,
+                                                  value_bytes=vb)
+                            + 3 * time_allreduce(link, n_shards, 8))
+
+    def test_multi_shard_comm_positive(self):
+        plan = plan_row_shards(stencil_poisson_2d(8), 4)
+        assert shard_comm_seconds(plan, NVLINK) > 0.0
 
 
 class TestSingleDeviceFleetBitwise:

@@ -18,7 +18,6 @@ from repro.obs import (EVENT_KINDS, NULL_RECORDER, MetricsRegistry,
                        summarize_trace, use_metrics, use_recorder)
 from repro.resilience import FaultPlan, FaultSpec, robust_spcg
 from repro.solvers import pcg
-from repro.sparse import stencil_poisson_2d
 
 
 def _rhs(a):

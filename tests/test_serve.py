@@ -22,7 +22,7 @@ import pytest
 from repro.batch import SolverService
 from repro.core.spcg import make_preconditioner
 from repro.errors import InvalidRequestError, QueueFullError, ShapeError
-from repro.machine import A100, iteration_cost_batched
+from repro.machine import A100, iteration_cost
 from repro.obs import TraceRecorder, get_metrics, use_recorder
 from repro.obs.report import summarize_trace
 from repro.serve import (AdmissionPolicy, BatchingWindow, LoadSpec,
@@ -42,7 +42,7 @@ def _req(req_id, fingerprint="fp", priority=0, deadline_s=None,
 
 def _iter_cost(a, kind="ilu0", batch=1):
     m = make_preconditioner(a, kind)
-    return iteration_cost_batched(A100, a, m, batch=batch).total
+    return iteration_cost(A100, a, m, batch=batch).total
 
 
 # ----------------------------------------------------------------------

@@ -5,17 +5,19 @@ load generator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import InvalidRequestError, ShapeError
+from repro.core.spcg import make_preconditioner
+from repro.errors import AbortSolve, InvalidRequestError, ShapeError
 from repro.precond import ILU0Preconditioner
 from repro.perf.fingerprint import (matrix_fingerprint,
                                     structure_fingerprint)
 from repro.solvers.cg import pcg
 from repro.solvers.stopping import StoppingCriterion
 from repro.sparse import is_symmetric, stencil_poisson_2d
-from repro.streams import (DriftSchedule, SolveSession, StalenessConfig,
-                           decide_staleness, harvest_ritz, perturb_spd,
-                           recycling_pcg)
+from repro.streams import (DriftSchedule, RecycleBasis, SolveSession,
+                           StalenessConfig, decide_staleness, harvest_ritz,
+                           perturb_spd, recycling_pcg)
 
 CRIT = StoppingCriterion(rtol=1e-10, atol=0.0, max_iters=500)
 
@@ -268,6 +270,61 @@ class TestRecycling:
         assert res.n_iters == plain.n_iters
         assert np.array_equal(res.x, plain.x)
         assert np.array_equal(res.residual_norms, plain.residual_norms)
+
+    @given(side=st.integers(3, 9), seed=st.integers(0, 2 ** 31 - 1),
+           kind=st.sampled_from([None, "jacobi", "ilu0"]),
+           empty_basis=st.booleans(), harvest=st.sampled_from([0, 3]),
+           warm=st.booleans(),
+           abort_at=st.one_of(st.none(), st.integers(0, 25)))
+    @settings(max_examples=60, deadline=None)
+    def test_without_basis_is_bitwise_pcg(self, side, seed, kind,
+                                          empty_basis, harvest, warm,
+                                          abort_at):
+        """With no basis to deflate, recycling runs ``pcg``'s loop
+        unchanged: same iterate, history, count and reason, whether or
+        not it harvests, from a cold or warm start, and when a callback
+        aborts the solve."""
+        a = stencil_poisson_2d(side)
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(a.n_rows)
+        x0 = rng.standard_normal(a.n_rows) if warm else None
+        m = None if kind is None else make_preconditioner(a, kind,
+                                                          cache=False)
+        basis = (RecycleBasis(w=np.zeros((a.n_rows, 0)),
+                              ritz_values=np.zeros(0), source_iters=0)
+                 if empty_basis else None)
+
+        def callback(k, r_norm):
+            if k == abort_at:
+                raise AbortSolve(f"stop at iteration {k}")
+
+        plain = pcg(a, b, m, x0=x0, criterion=CRIT, callback=callback)
+        res, _ = recycling_pcg(a, b, m, x0=x0, basis=basis,
+                               harvest=harvest, criterion=CRIT,
+                               callback=callback)
+        assert res.n_iters == plain.n_iters
+        assert res.reason is plain.reason
+        assert np.array_equal(res.x, plain.x)
+        assert np.array_equal(res.residual_norms, plain.residual_norms)
+
+    def test_records_lanczos_vectors_only_when_harvesting(
+            self, poisson16, make_rng, monkeypatch):
+        from repro.streams import recycle
+
+        made = []
+
+        class Spy(recycle._Lanczos):
+            def __init__(self, max_store):
+                super().__init__(max_store)
+                made.append(self)
+
+        monkeypatch.setattr(recycle, "_Lanczos", Spy)
+        b = make_rng().standard_normal(poisson16.n_rows)
+        recycling_pcg(poisson16, b, criterion=CRIT)
+        assert made == []
+        _, basis = recycling_pcg(poisson16, b, harvest=3, criterion=CRIT)
+        assert basis is not None and len(made) == 1
+        assert 2 <= len(made[0].vectors) <= recycle.DEFAULT_MAX_STORE
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_deflated_matches_pcg_and_never_iterates_more(

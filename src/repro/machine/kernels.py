@@ -62,6 +62,18 @@ def _roofline(dev: DeviceModel, flops: float, bytes_: float,
     return max(t_compute, t_memory, dev.min_kernel_time)
 
 
+def _level_bodies(dev: DeviceModel, rows: np.ndarray, flops: np.ndarray,
+                  bytes_: np.ndarray, floor: float) -> np.ndarray:
+    """Per-wavefront roofline bodies: each level runs at the row
+    utilization ``rows / row_slots`` (``rows`` already counts every
+    batched column), and no body is shorter than *floor*."""
+    util = np.maximum(np.minimum(1.0, rows / dev.row_slots), 1e-9)
+    t_compute = flops / (dev.peak_flops * util)
+    t_memory = bytes_ / (dev.mem_bandwidth
+                         * np.minimum(1.0, np.sqrt(util) * 4))
+    return np.maximum(np.maximum(t_compute, t_memory), floor)
+
+
 def time_spmv(dev: DeviceModel, n_rows: int, nnz: int, batch: int = 1, *,
               value_bytes: int | None = None) -> float:
     """CSR SpMV against ``batch`` columns: 2 FLOPs/nnz per column; one
@@ -136,15 +148,11 @@ def time_trisolve(dev: DeviceModel, rows_per_level: np.ndarray,
     n_levels = rows_per_level.shape[0]
     if n_levels == 0:
         return 0.0
-    util = np.minimum(1.0, rows_per_level * batch / dev.row_slots)
-    util = np.maximum(util, 1e-9)
-    flops = 2.0 * nnz_per_level * batch
-    bytes_ = (nnz_per_level * (vb * batch + dev.index_bytes)
-              + rows_per_level * (2 * vb * batch + dev.index_bytes))
-    t_compute = flops / (dev.peak_flops * util)
-    t_memory = bytes_ / (dev.mem_bandwidth * np.minimum(1.0,
-                                                        np.sqrt(util) * 4))
-    body = np.maximum(np.maximum(t_compute, t_memory), dev.min_kernel_time)
+    body = _level_bodies(
+        dev, rows_per_level * batch, 2.0 * nnz_per_level * batch,
+        nnz_per_level * (vb * batch + dev.index_bytes)
+        + rows_per_level * (2 * vb * batch + dev.index_bytes),
+        dev.min_kernel_time)
     return float(n_levels * dev.launch_overhead
                  + (n_levels - 1) * dev.sync_overhead
                  + body.sum())
@@ -214,16 +222,11 @@ def time_trisolve_partitioned(dev: DeviceModel,
         n_levels = rows.shape[0]
         if n_levels == 0:
             continue
-        util = np.maximum(
-            np.minimum(1.0, rows * batch / dev.row_slots), 1e-9)
         flops = 2.0 * nnz * batch
         bytes_ = (nnz * (vb * batch + dev.index_bytes)
                   + rows * (2 * vb * batch + dev.index_bytes))
-        t_compute = flops / (dev.peak_flops * util)
-        t_memory = bytes_ / (dev.mem_bandwidth
-                             * np.minimum(1.0, np.sqrt(util) * 4))
-        body = np.maximum(np.maximum(t_compute, t_memory),
-                          dev.min_kernel_time * isf)
+        body = _level_bodies(dev, rows * batch, flops, bytes_,
+                             dev.min_kernel_time * isf)
         chain[i] = (body.sum()
                     + max(0, n_levels - 1) * dev.sync_overhead * isf)
         flops_tot[i] = flops.sum()
@@ -270,16 +273,11 @@ def time_trisolve_aggregated(dev: DeviceModel, rows_per_level: np.ndarray,
     if n_levels == 0:
         return 0.0
     n_groups = group_ptr.shape[0] - 1
-    util = np.maximum(np.minimum(1.0, rows_per_level / dev.row_slots),
-                      1e-9)
-    flops = 2.0 * nnz_per_level
-    bytes_ = (nnz_per_level * (dev.value_bytes + dev.index_bytes)
-              + rows_per_level * (2 * dev.value_bytes + dev.index_bytes))
-    t_compute = flops / (dev.peak_flops * util)
-    t_memory = bytes_ / (dev.mem_bandwidth
-                         * np.minimum(1.0, np.sqrt(util) * 4))
-    body = np.maximum(np.maximum(t_compute, t_memory),
-                      dev.min_kernel_time)
+    body = _level_bodies(
+        dev, rows_per_level, 2.0 * nnz_per_level,
+        nnz_per_level * (dev.value_bytes + dev.index_bytes)
+        + rows_per_level * (2 * dev.value_bytes + dev.index_bytes),
+        dev.min_kernel_time)
     internal = (n_levels - n_groups) * dev.sync_overhead \
         * internal_sync_fraction
     external = max(0, n_groups - 1) * dev.sync_overhead
@@ -323,11 +321,8 @@ def time_ilu_factorization(dev: DeviceModel, rows_per_level: np.ndarray,
     flops_per_level = total_flops * weights
     bytes_per_level = ((dev.value_bytes + dev.index_bytes) * 3.0
                        * nnz_per_level)
-    util = np.maximum(np.minimum(1.0, rows_per_level / dev.row_slots), 1e-9)
-    t_compute = flops_per_level / (dev.peak_flops * util)
-    t_memory = bytes_per_level / (dev.mem_bandwidth
-                                  * np.minimum(1.0, np.sqrt(util) * 4))
-    body = np.maximum(np.maximum(t_compute, t_memory), dev.min_kernel_time)
+    body = _level_bodies(dev, rows_per_level, flops_per_level,
+                         bytes_per_level, dev.min_kernel_time)
     n_levels = nnz_per_level.shape[0]
     return float(n_levels * dev.launch_overhead
                  + (n_levels - 1) * dev.sync_overhead

@@ -309,8 +309,12 @@ class ILU0Preconditioner(Preconditioner):
             return self._bwd.solve(y, out=out)
         from .triangular import solve_lower_sequential, solve_upper_sequential
 
-        y = solve_lower_sequential(self.factors.lower, r, unit_diagonal=True)
-        z = solve_upper_sequential(self.factors.upper, y)
+        if np.ndim(r) == 2:
+            z = np.stack([self.apply(c) for c in np.asarray(r).T], axis=1)
+        else:
+            y = solve_lower_sequential(self.factors.lower, r,
+                                       unit_diagonal=True)
+            z = solve_upper_sequential(self.factors.upper, y)
         if out is not None:
             out[...] = z
             return out

@@ -385,6 +385,11 @@ class ScheduledTriangularSolver:
         x = out if out is not None else np.empty(b.shape, dtype=dtype)
         if x.shape != b.shape:
             raise ShapeError(f"out must have shape {b.shape}")
+        res = x
+        if b.ndim == 2 and b.shape[1] == 1:
+            # One column runs the 1-D sweep on its column views: the
+            # same numbers, without an (nnz, 1) coefficient block.
+            b, x = b[:, 0], x[:, 0]
         y = b[self._perm].astype(dtype, copy=False)
         block = None
         if b.ndim == 2:
@@ -403,7 +408,7 @@ class ScheduledTriangularSolver:
             mul(p, coef if block is None else block[s0:s1], p)
             reduceat(p, offs, 0, None, y[lo:hi])
         x[self._perm] = y
-        return x
+        return res
 
     __call__ = solve
 

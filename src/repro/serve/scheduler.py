@@ -831,26 +831,22 @@ class ServeScheduler:
 
         capacity = self.window.max_batch
         clock_after: dict[int, float] = {0: t_dispatch}
-        widths: list[int] = []
-        prev_width = 0
         n_admitted = 0
         n_timed_out = 0
         n_cancelled = 0
 
         def hook(sweep: int, active_keys: tuple,
-                 view=None) -> SlotDecision | None:
-            nonlocal prev_width, n_admitted, n_timed_out, n_cancelled, \
-                pending_resume
+                 view) -> SlotDecision | None:
+            nonlocal n_admitted, n_timed_out, n_cancelled, pending_resume
             if sweep >= 2:
-                # Price the sweep that just ran at its actual width.
-                self._clock += cost_of(prev_width)
+                # Price the sweep that just ran at its entering width.
+                self._clock += cost_of(view.width)
                 clock_after[sweep - 1] = self._clock
-                widths.append(prev_width)
             active = set(active_keys)
             # Boundary verification that just ran inside the block:
             # price the true-residual recomputations and checkpoint
             # every column proven consistent.
-            if view is not None and verify_cfg is not None:
+            if verify_cfg is not None:
                 n_checked = len(view.verified) + sum(
                     1 for d in view.detected if d["method"] == "residual")
                 if n_checked:
@@ -901,7 +897,6 @@ class ServeScheduler:
                         crash = [(rid, TerminationReason.DEVICE_CRASH)
                                  for rid in active_keys]
                         n_cancelled += len(crash)
-                        prev_width = 0
                         return SlotDecision(cancel=crash) if crash \
                             else None
             cancels = self._process_due_events(active)
@@ -952,23 +947,6 @@ class ServeScheduler:
                                  t_model=self._clock, mid_block=True)
                 if admits:
                     metrics.gauge("serve.queue_depth", self.queue.depth)
-            # Entering width of the sweep about to run: survivors plus
-            # admits that will actually occupy a slot (a column already
-            # inside its threshold converges at admission).
-            width = n_alive
-            for item in admits:
-                bn = float(np.linalg.norm(item[1]))
-                state = item[2] if len(item) > 2 else None
-                if isinstance(state, np.ndarray):
-                    # Warm-start admit: entering residual is b − A·x0.
-                    rn = float(np.linalg.norm(item[1] - a.matvec(state)))
-                elif state is not None:
-                    rn = float(state.history[-1])
-                else:
-                    rn = bn
-                if not crit.is_met(rn, bn):
-                    width += 1
-            prev_width = width
             if cancels or admits:
                 return SlotDecision(admit=admits, cancel=cancels)
             return None
@@ -987,7 +965,7 @@ class ServeScheduler:
         wall_block = self._wall() - wall0
 
         sv = block.extra["serve"]
-        keys, born, died = sv["keys"], sv["born"], sv["died"]
+        keys, died, widths = sv["keys"], sv["died"], sv["widths"]
         t_end = self._clock
         sweeps = len(widths)
         cap = capacity if capacity is not None \

@@ -198,6 +198,11 @@ class CSRMatrix:
         whose masking keeps ``reduceat`` off empty segments.  Scratch is
         allocated per call: cached matrices are shared across threads.
         """
+        column = x.ndim == 2 and x.shape[1] == 1
+        if column:
+            # One column runs the 1-D kernel: the same sums, without the
+            # 2-D gather and row reduction.
+            x = x[:, 0]
         if self._rows_nonempty is None:
             self._rows_nonempty = bool(self.n_rows) and bool(
                 (self.indptr[1:] > self.indptr[:-1]).all())
@@ -213,6 +218,8 @@ class CSRMatrix:
         else:
             y = segment_sum(prod, self.indptr[:-1], self.indptr[1:])
         y = y.astype(dtype, copy=False)
+        if column:
+            y = y[:, None]
         if out is None:
             return y
         out[...] = y

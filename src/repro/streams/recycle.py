@@ -27,11 +27,13 @@ count; :func:`recycling_pcg` harvests the ``m`` smallest into a
   spectrum is the undeflated remainder (init-CG / deflated-CG in the
   sense of Saad, Yeung, Erhel & Guyomarc'h).
 
-Both run inside ``pcg``'s own loop, as its deflation hook and Lanczos
-recorder, so with an empty basis :func:`recycling_pcg` *is*
-:func:`repro.solvers.cg.pcg` operation for operation and results agree
-bitwise (property-tested); the recorder only keeps scalars and vectors
-the iteration already produced, and only when a harvest is asked for.
+Both run inside the CG kernel :func:`repro.solvers.cg.pcg` runs (the
+one-column call of :mod:`repro.solvers.cg`'s batched Algorithm 1), as
+its deflation hook and Lanczos recorder, so with an empty basis
+:func:`recycling_pcg` *is* ``pcg`` operation for operation and results
+agree bitwise (property-tested); the recorder only keeps scalars and
+vectors the iteration already produced, and only when a harvest is
+asked for.
 The machine model prices the projection at
 :func:`repro.machine.kernels.time_deflation_apply` per iteration and
 :func:`~repro.machine.kernels.time_deflation_setup` per solve.
@@ -46,7 +48,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..precond.base import Preconditioner
-from ..solvers.cg import _pcg_loop, _prepare
+from ..solvers.cg import _prepare, _solve
 from ..solvers.result import SolveResult
 from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
@@ -154,7 +156,7 @@ def _merge_bases(old: RecycleBasis, new: RecycleBasis,
 class _Deflator:
     """Galerkin projector state for one solve: ``AW``, the Cholesky
     factor of ``G = WᵀAW``, and the two projections deflated PCG
-    needs — ``pcg``'s deflation hook."""
+    needs — the CG kernel's deflation hook."""
 
     def __init__(self, a: CSRMatrix, w: np.ndarray):
         self.w = w
@@ -181,7 +183,7 @@ class _Deflator:
 
 
 class _Lanczos:
-    """``pcg``'s Lanczos recorder: every ``alpha_k`` and ``beta_k``, and
+    """The CG kernel's Lanczos recorder: every ``alpha_k`` and ``beta_k``, and
     the first ``max_store`` normalized preconditioned residuals
     ``z_k / sqrt(r_kᵀ z_k)``."""
 
@@ -243,7 +245,7 @@ def recycling_pcg(a: CSRMatrix, b: np.ndarray,
             basis_dropped = True
     lanczos = _Lanczos(max(int(max_store), 0)) if harvest > 0 else None
 
-    res = _pcg_loop(a, b, m, crit, x, callback, deflator, lanczos)
+    res = _solve(a, b, m, crit, x, callback, deflator, lanczos)
 
     new = None
     if lanczos is not None:

@@ -1,19 +1,19 @@
 """Tests for repro.batch — block PCG, batched pricing, solver service.
 
 The load-bearing invariant: a batched solve is *semantically invisible*.
-Every column of :func:`pcg_block` must match the sequential
-:func:`~repro.solvers.cg.pcg` run on that column alone — same
-termination reason, same iteration count, residual histories within
-1e-10 — while the machine model prices the block strictly cheaper per
-RHS than solo solves.
+Every column of :func:`pcg_block` must equal the sequential
+:func:`~repro.solvers.cg.pcg` run on that column alone, bitwise — same
+termination reason, iteration count, residual history and iterate —
+while the machine model prices the block strictly cheaper per RHS than
+solo solves.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.batch import (BatchReport, SolveRequest, SolverService,
-                         pcg_block)
+from repro.batch import (BatchReport, SlotDecision, SolveRequest,
+                         SolverService, pcg_block)
 from repro.errors import AbortSolve, ShapeError
 from repro.datasets import load
 from repro.harness import run_batch_scaling
@@ -28,23 +28,27 @@ from repro.sparse import CSRMatrix, diags, stencil_poisson_2d
 from test_properties import dense_matrix
 
 
+def _assert_same_solve(col, seq, label=""):
+    """*col* and *seq* are the same solve, bitwise."""
+    assert col.reason == seq.reason, label
+    assert col.n_iters == seq.n_iters, label
+    assert col.converged == seq.converged, label
+    np.testing.assert_array_equal(col.residual_norms, seq.residual_norms,
+                                  err_msg=label)
+    np.testing.assert_array_equal(col.x, seq.x, err_msg=label)
+    assert col.tolerance == seq.tolerance, label
+
+
 def _assert_columns_match_sequential(a, b_block, make_precond,
                                      criterion=None):
-    """Each column of the block result must match a fresh sequential
-    pcg on that column (reason, iterations, histories, iterates)."""
+    """Each column of the block result must equal a fresh sequential
+    pcg on that column, bitwise (reason, iterations, histories,
+    iterates, tolerance)."""
     blk = pcg_block(a, b_block, make_precond(), criterion=criterion)
     assert blk.batch == b_block.shape[1]
     for j in range(b_block.shape[1]):
         seq = pcg(a, b_block[:, j], make_precond(), criterion=criterion)
-        col = blk.column(j)
-        assert col.reason == seq.reason, f"column {j}"
-        assert col.n_iters == seq.n_iters, f"column {j}"
-        assert col.converged == seq.converged
-        assert col.residual_norms.shape == seq.residual_norms.shape
-        np.testing.assert_allclose(col.residual_norms, seq.residual_norms,
-                                   rtol=0, atol=1e-10)
-        np.testing.assert_allclose(col.x, seq.x, rtol=0, atol=1e-10)
-        assert col.tolerance == pytest.approx(seq.tolerance)
+        _assert_same_solve(blk.column(j), seq, f"column {j}")
     return blk
 
 
@@ -173,22 +177,102 @@ class TestBlockMatchesSequential:
         assert m.counter("pcg.batched_sweeps") == blk.block_iters
 
 
+class TestOneKernel:
+    """``pcg``, every column of ``pcg_block`` and ``recycling_pcg``
+    without a basis run the same iteration, so they agree bitwise —
+    whatever the width, the warm starts, the columns that converge at
+    iteration 0 and the iteration a callback aborts at."""
+
+    @given(st.integers(1, 8), st.integers(0, 2 ** 31),
+           st.sampled_from(["ilu0", "jacobi", None]),
+           st.lists(st.sampled_from(["cold", "warm", "zero"]),
+                    min_size=8, max_size=8),
+           st.one_of(st.none(), st.integers(0, 12)))
+    @settings(max_examples=40, deadline=None)
+    def test_pcg_block_and_recycling_agree(self, width, seed, kind, kinds,
+                                           abort_at):
+        from repro.streams import recycling_pcg
+
+        a = stencil_poisson_2d(7)
+        n = a.n_rows
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((n, width))
+        x0 = np.zeros((n, width))
+        for j in range(width):
+            if kinds[j] == "zero":
+                b[:, j] = 0.0          # converged at iteration 0
+            elif kinds[j] == "warm":
+                x0[:, j] = rng.standard_normal(n)
+
+        def precond():
+            return {"ilu0": ILU0Preconditioner, "jacobi":
+                    JacobiPreconditioner}[kind](a) if kind else None
+
+        def guard(k, _norms):
+            if k == abort_at:
+                raise AbortSolve(f"abort at {k}")
+
+        crit = StoppingCriterion(rtol=1e-10, atol=0.0, max_iters=60)
+        cb = guard if abort_at is not None else None
+        blk = pcg_block(a, b, precond(), x0=x0, criterion=crit, callback=cb)
+        for j in range(width):
+            warm = x0[:, j] if kinds[j] == "warm" else None
+            seq = pcg(a, b[:, j], precond(), x0=warm, criterion=crit,
+                      callback=cb)
+            rec, basis = recycling_pcg(a, b[:, j], precond(), x0=warm,
+                                       criterion=crit, callback=cb)
+            assert basis is None
+            _assert_same_solve(blk.column(j), seq, f"block column {j}")
+            _assert_same_solve(rec, seq, f"recycling column {j}")
+
+    def test_boundary_view_carries_entering_width(self, poisson16,
+                                                  make_rng):
+        # A column whose b is NaN breaks down at admission and never
+        # takes a slot; the width the next boundary reports leaves it
+        # out, as the block's own width record does.
+        b = make_rng(42).standard_normal((poisson16.n_rows, 3))
+        seen = {}
+
+        def hook(sweep, active, view):
+            seen[sweep] = view.width
+            if sweep == 2:
+                bad = np.full(poisson16.n_rows, np.nan)
+                return SlotDecision(admit=[("nan", bad),
+                                           ("ok", b[:, 0].copy())])
+            return None
+
+        blk = pcg_block(poisson16, b, ILU0Preconditioner(poisson16),
+                        slot_hook=hook)
+        widths = blk.extra["serve"]["widths"]
+        assert seen[1] == 0
+        assert [seen[k] for k in range(2, len(widths) + 2)] == widths
+        assert widths[:2] == [3, 4]
+        nan_col = blk.extra["serve"]["keys"].index("nan")
+        assert blk.reasons[nan_col] is TerminationReason.NUMERICAL_BREAKDOWN
+        assert blk.n_iters[nan_col] == 0
+
+
 class TestBatchedApply:
     """2-D right-hand sides through the shared kernels: column j of the
     block result must be *bitwise* the 1-D result on that column."""
 
     def test_trisolve_block_bitwise(self, make_rng):
+        # Width 1 takes the 1-D sweep's own path; width 4 the block path.
         rng = make_rng(40)
         a = stencil_poisson_2d(8)
         m = ILU0Preconditioner(a)
         fwd, bwd = m.solvers()
         for solver in (fwd, bwd):
-            b = rng.standard_normal((a.n_rows, 4))
-            xb = solver.solve(b)
-            assert xb.shape == b.shape
-            for j in range(4):
-                np.testing.assert_array_equal(xb[:, j],
-                                              solver.solve(b[:, j]))
+            for width in (1, 4):
+                b = rng.standard_normal((a.n_rows, width))
+                xb = solver.solve(b)
+                assert xb.shape == b.shape
+                for j in range(width):
+                    np.testing.assert_array_equal(xb[:, j],
+                                                  solver.solve(b[:, j]))
+                out = np.empty_like(b)
+                assert solver.solve(b, out=out) is out
+                np.testing.assert_array_equal(out, xb)
 
     def test_trisolve_block_out_param(self, fig1_lower, make_rng):
         solver = ScheduledTriangularSolver(fig1_lower, kind="lower")

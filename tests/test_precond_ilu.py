@@ -9,6 +9,7 @@ from repro.precond import (IC0Preconditioner, ILU0Preconditioner,
                            ILUKPreconditioner, ic0, ilu0, iluk,
                            iluk_symbolic)
 from repro.sparse import CSRMatrix, random_spd, stencil_poisson_2d
+from repro.solvers import pcg
 
 spla = pytest.importorskip("scipy.sparse.linalg")
 sp = pytest.importorskip("scipy.sparse")
@@ -94,6 +95,16 @@ class TestILU0:
         z_seq = ILU0Preconditioner(poisson16, scheduled=False).apply(r)
         np.testing.assert_allclose(z_sched, z_seq, atol=1e-9)
 
+    def test_sequential_apply_serves_blocks(self, poisson16, rng):
+        # pcg hands its preconditioner a one-column block.
+        m = ILU0Preconditioner(poisson16, scheduled=False)
+        block = rng.standard_normal((poisson16.n_rows, 3))
+        z = m.apply(block)
+        for j in range(3):
+            np.testing.assert_array_equal(z[:, j], m.apply(block[:, j]))
+        b = poisson16.matvec(np.ones(poisson16.n_rows))
+        assert pcg(poisson16, b, m).converged
+
     def test_apply_levels_and_nnz(self, poisson16):
         m = ILU0Preconditioner(poisson16)
         fwd, bwd = m.apply_levels()
@@ -148,8 +159,6 @@ class TestILUK:
             iluk_symbolic(poisson16, -1)
 
     def test_better_preconditioner_fewer_iterations(self, rng):
-        from repro.solvers import pcg
-
         a = stencil_poisson_2d(20)
         b = a.matvec(np.ones(a.n_rows))
         it0 = pcg(a, b, ILU0Preconditioner(a)).n_iters
@@ -202,8 +211,6 @@ class TestIC0:
             ic0(CSRMatrix.from_dense(dense))
 
     def test_preconditioner_spd_action(self, poisson16, rng):
-        from repro.solvers import pcg
-
         m = IC0Preconditioner(poisson16)
         b = poisson16.matvec(rng.standard_normal(poisson16.n_rows))
         res = pcg(poisson16, b, m)

@@ -100,6 +100,19 @@ from .core import (
     wavefront_aware_sparsify,
 )
 from .machine import A100, EPYC_7413, V100, DeviceModel, get_device
+from .resilience import (
+    FailureClass,
+    FallbackPolicy,
+    FaultPlan,
+    FaultSpec,
+    GuardConfig,
+    GuardTrip,
+    ResidualGuard,
+    RobustSolveReport,
+    classify_failure,
+    default_ladder,
+    robust_spcg,
+)
 from .batch import (
     BatchReport,
     BlockSolveResult,
@@ -116,19 +129,6 @@ from .obs import (
     render_report,
     set_recorder,
     use_recorder,
-)
-from .resilience import (
-    FailureClass,
-    FallbackPolicy,
-    FaultPlan,
-    FaultSpec,
-    GuardConfig,
-    GuardTrip,
-    ResidualGuard,
-    RobustSolveReport,
-    classify_failure,
-    default_ladder,
-    robust_spcg,
 )
 
 __version__ = "1.0.0"

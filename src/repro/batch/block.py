@@ -130,11 +130,11 @@ SlotHook = Callable[[int, tuple, "BoundaryView"], "SlotDecision | None"]
 class VerifyConfig:
     """Silent-corruption detection knobs for :func:`pcg_block`.
 
+    Every batched SpMV is verified against the column-sum checksum
+    vector ``s = 1ᵀA`` (``1ᵀ(A·p)_j`` vs ``s·p_j`` per column).
+
     Attributes
     ----------
-    abft:
-        Verify every batched SpMV against the column-sum checksum
-        vector ``s = 1ᵀA`` (``1ᵀ(A·p)_j`` vs ``s·p_j`` per column).
     abft_rtol:
         Relative checksum tolerance, scaled by ``|s|ᵀ|p_j|`` so it
         tracks the rounding error of the sums being compared; well
@@ -149,7 +149,6 @@ class VerifyConfig:
         Drift tolerance relative to the column's ``‖b‖``.
     """
 
-    abft: bool = True
     abft_rtol: float = 1e-8
     residual_check_every: int | None = None
     residual_rtol: float = 1e-6
@@ -482,7 +481,7 @@ def pcg_block(a: CSRMatrix, b_block: np.ndarray,
         pending.clear()
 
     checksum = None
-    if verify is not None and verify.abft:
+    if verify is not None:
         # Column sums of A straight off the CSR arrays (s = 1ᵀA) — no
         # kernel call, so an operator wrapper that corrupts SpMV
         # outputs cannot poison the checksum reference itself.

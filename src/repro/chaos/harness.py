@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry, use_metrics
+from ..resilience import FaultPlan
 from ..serve import (BatchingWindow, BreakerPolicy, RequestStatus,
                      RetryPolicy, ServeScheduler)
 from ..sparse import stencil_poisson_2d
-from .plan import ChaosConfig, ChaosPlan
 
 __all__ = ["ChaosStudyRow", "ChaosStudyResult", "run_chaos_study"]
 
@@ -132,7 +132,7 @@ def run_chaos_study(*, rates=(0.0, 0.02, 0.05, 0.10), side: int = 16,
     bs = [rng.standard_normal(a.n_rows) for _ in range(n_requests)]
 
     def run_cell(rate: float, retry: bool) -> ChaosStudyRow:
-        plan = ChaosPlan(ChaosConfig(fault_rate=rate, seed=chaos_seed))
+        plan = FaultPlan(rate=rate, seed=chaos_seed)
         metrics = MetricsRegistry()
         with use_metrics(metrics):
             sched = ServeScheduler(

@@ -273,13 +273,16 @@ def spcg(a: CSRMatrix, b: np.ndarray, *, preconditioner: str = "ilu0",
             # unchanged when nothing fired, so identity is the test.
             cache = False
         a_hat = corrupted
-    m = make_preconditioner(a_hat, preconditioner, k=k,
-                            raise_on_zero_pivot=raise_on_zero_pivot,
-                            pivot_boost=pivot_boost, precision=precision,
-                            engine=engine, n_parts=n_parts, device=device,
-                            cache=cache)
-    if fault_plan is not None:
-        m = fault_plan.wrap_preconditioner(m, "spcg")
+
+    def build(precision: str):
+        m = make_preconditioner(a_hat, preconditioner, k=k,
+                                raise_on_zero_pivot=raise_on_zero_pivot,
+                                pivot_boost=pivot_boost, precision=precision,
+                                engine=engine, n_parts=n_parts,
+                                device=device, cache=cache)
+        return m if fault_plan is None else fault_plan.wrap(m, "spcg")
+
+    m = build(precision)
     if precision != "mixed":
         solve = pcg(a, b, m, criterion=criterion, x0=x0, callback=callback)
         return SPCGResult(solve=solve, decision=decision, preconditioner=m)
@@ -300,13 +303,7 @@ def spcg(a: CSRMatrix, b: np.ndarray, *, preconditioner: str = "ilu0",
     solve.extra["precision"] = "mixed"
     if not solve.converged:
         mixed_iters = solve.n_iters
-        m = make_preconditioner(a_hat, preconditioner, k=k,
-                                raise_on_zero_pivot=raise_on_zero_pivot,
-                                pivot_boost=pivot_boost,
-                                precision="float64", engine=engine,
-                                n_parts=n_parts, device=device, cache=cache)
-        if fault_plan is not None:
-            m = fault_plan.wrap_preconditioner(m, "spcg")
+        m = build("float64")
         x_warm = solve.x if np.all(np.isfinite(solve.x)) else x0
         solve = pcg(a, b, m, criterion=crit, x0=x_warm, callback=callback)
         solve.extra["precision"] = "mixed"

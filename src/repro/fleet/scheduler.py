@@ -64,8 +64,9 @@ class FleetScheduler:
     hot_threshold, virtual_nodes:
         Router knobs (see :class:`FleetRouter`).
     chaos:
-        ``None``, or a sequence of ``n_devices`` per-device chaos plans
-        (one plan cannot be shared — its draw stream is stateful).
+        ``None``, or a sequence of ``n_devices`` per-device
+        :class:`~repro.resilience.FaultPlan` s (one plan cannot be
+        shared — its draw stream is stateful).
     """
 
     def __init__(self, *, n_devices: int = 1,

@@ -8,7 +8,6 @@ metrics of Section 5.3 are derived from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 __all__ = ["KernelEvent", "Timeline"]
 
@@ -38,37 +37,18 @@ class KernelEvent:
 
 @dataclass
 class Timeline:
-    """Append-only sequence of :class:`KernelEvent` with aggregation.
-
-    ``fault_hook`` is the resilience layer's injection point: every
-    event recorded is first passed through it.  The hook may return the
-    event unchanged, return a modified :class:`KernelEvent` (e.g. with
-    an inflated duration to model a retried kernel), return ``None`` to
-    drop the event, or raise :class:`repro.errors.DeviceModelError` to
-    simulate a hard device failure (a lost sync, a timed-out launch).
-    """
+    """Append-only sequence of :class:`KernelEvent` with aggregation."""
 
     events: list[KernelEvent] = field(default_factory=list)
-    fault_hook: Callable[[KernelEvent], KernelEvent | None] | None = None
 
     def record(self, name: str, phase: str, seconds: float,
                flops: float = 0.0, bytes: float = 0.0) -> None:
-        """Append one event (after passing it through ``fault_hook``)."""
+        """Append one event."""
         if seconds < 0:
             raise ValueError("event duration must be non-negative")
-        ev = KernelEvent(name=name, phase=phase, seconds=seconds,
-                         flops=flops, bytes=bytes)
-        if self.fault_hook is not None:
-            ev = self.fault_hook(ev)
-            if ev is None:
-                return
-            # A hook may return a *replacement* event (e.g. an inflated
-            # retry); it gets the same validation as the original, else a
-            # hostile hook could corrupt total_seconds and every phase
-            # aggregate with a negative duration.
-            if ev.seconds < 0:
-                raise ValueError("event duration must be non-negative")
-        self.events.append(ev)
+        self.events.append(KernelEvent(name=name, phase=phase,
+                                       seconds=seconds, flops=flops,
+                                       bytes=bytes))
 
     @property
     def total_seconds(self) -> float:

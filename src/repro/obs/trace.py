@@ -33,8 +33,10 @@ Event kinds
     boundary, or rejected/expired with a ``reason`` (``queue_depth``,
     ``backlog_seconds``, ``deadline_queued``, ``cancelled``).
 ``fault_injected``
-    The chaos plan fired one modeled device fault (``fault`` names the
-    :class:`repro.chaos.FaultKind` value).
+    A :class:`repro.resilience.FaultPlan` fired one boundary fault at
+    an iteration boundary of the serving scheduler (``kind`` is one of
+    ``transient``, ``stall``, ``crash``, ``sdc_spmv``,
+    ``sdc_trisolve``).
 ``checksum_fail``
     A detector caught silent corruption — ABFT column-checksum mismatch
     on the batched SpMV or true-vs-recurrence residual drift
@@ -49,8 +51,8 @@ Event kinds
     The per-fingerprint circuit breaker downgraded the dispatch rung
     after repeated failures, or restored it after a cooldown.
 ``brownout``
-    The overload policy entered/left brownout (``action`` is
-    ``"enter"`` / ``"exit"``) — tolerance loosened / preconditioner
+    The overload policy entered/left brownout (``active`` is true on
+    entry, false on exit) — tolerance loosened / preconditioner
     downgraded while the modeled backlog exceeds its threshold.
 ``route``
     Fleet-layer routing decisions.

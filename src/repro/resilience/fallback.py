@@ -5,16 +5,22 @@ The paper's protocol simply *drops* configurations that fail to converge
 report what happened.  :func:`robust_spcg` runs the ladder
 
     Algorithm-2 chosen ratio → most conservative ratio →
-    unsparsified ILU → IC(0) → Jacobi → plain CG
+    unsparsified ILU → IC(0) → FSAI → Jacobi → plain CG
 
 with, at every rung, (1) a :class:`~repro.resilience.guards.ResidualGuard`
 that aborts diverging or stagnating attempts early, (2) per-attempt
 budgets in iterations *and modeled seconds* (priced by the machine
 model, so a rung whose per-iteration cost is high gets proportionally
 fewer iterations), and (3) in-rung escalation: a zero pivot retries the
-same rung with cuSPARSE-style pivot boosting, an IC(0) breakdown retries
-with a Manteuffel diagonal shift, and transient faults (NaN injection,
-sync failures) earn one same-rung retry before the ladder descends.
+same rung once with cuSPARSE-style pivot boosting (:data:`PIVOT_BOOST`),
+an IC(0) breakdown once with a Manteuffel diagonal shift
+(:data:`IC0_SHIFT`), and a transient failure
+(:data:`~repro.resilience.guards.TRANSIENT`) earns one same-rung retry
+before the ladder descends.
+
+Below the unsparsified rung the ladder walks :data:`DOWNGRADE`, the one
+preconditioner downgrade order, which the serving scheduler's circuit
+breaker walks too (:func:`precond_ladder`).
 
 Every attempt is recorded in a structured :class:`RobustSolveReport`
 naming its failure class and the rung that finally recovered — the
@@ -23,7 +29,7 @@ input the suite aggregates into a failure taxonomy and recovery rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,13 +47,36 @@ from ..solvers.cg import pcg
 from ..solvers.result import SolveResult, TerminationReason
 from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
-from .guards import FailureClass, GuardConfig, ResidualGuard, classify_failure
+from .guards import (TRANSIENT, FailureClass, GuardConfig, ResidualGuard,
+                     classify_failure)
 
-__all__ = ["FallbackRung", "FallbackPolicy", "AttemptRecord",
+__all__ = ["DOWNGRADE", "PIVOT_BOOST", "IC0_SHIFT", "precond_ladder",
+           "FallbackRung", "FallbackPolicy", "AttemptRecord",
            "RobustSolveReport", "default_ladder", "robust_spcg"]
 
-#: Failure classes worth one same-rung retry (the fault may be transient).
-_TRANSIENT = frozenset({FailureClass.NAN_OR_INF, FailureClass.SYNC_FAILURE})
+#: The preconditioner downgrade order, most capable first.  FSAI sits
+#: between IC(0) and Jacobi: it needs no factorization at all (per-row
+#: dense solves — a zero pivot cannot occur), its ``Gᵀ G`` operator is
+#: SPD by construction, and its barrier-free apply sidesteps the
+#: wavefront path entirely — so it catches factorization breakdowns
+#: IC(0) shares with ILU while remaining a far stronger rung than bare
+#: Jacobi.  SPAI is deliberately absent: its symmetrized fit is not
+#: guaranteed SPD, which a *fallback* rung must be.
+DOWNGRADE = ("ic0", "fsai", "jacobi")
+#: Relative pivot boost of a rung's retry after a zero pivot.
+PIVOT_BOOST = 1e-4
+#: Relative diagonal shift of an IC(0) rung's retry after a breakdown.
+IC0_SHIFT = 1e-2
+
+
+def precond_ladder(kind: str) -> tuple[str, ...]:
+    """*kind* followed by every :data:`DOWNGRADE` entry after it (all of
+    them for a kind not in the table), so a rung is never an upgrade of
+    the one before it: ``ilu0 → ic0 → fsai → jacobi``,
+    ``fsai → jacobi``."""
+    rest = DOWNGRADE[DOWNGRADE.index(kind) + 1:] if kind in DOWNGRADE \
+        else DOWNGRADE
+    return (kind,) + rest
 
 
 @dataclass(frozen=True)
@@ -79,33 +108,17 @@ class FallbackRung:
 def default_ladder(preconditioner: str = "ilu0", *, k: int = 1,
                    ratios: tuple[float, ...] = (10.0, 5.0, 1.0)
                    ) -> tuple[FallbackRung, ...]:
-    """The default chosen→safe→full→IC0→FSAI→Jacobi→CG ladder.
-
-    Rungs that would duplicate an earlier one (e.g. the unsparsified
-    rung when *preconditioner* is already ``"ic0"``) are elided.  The
-    FSAI rung sits between IC(0) and Jacobi: it needs no factorization
-    at all (per-row dense solves — a zero pivot cannot occur), its
-    ``Gᵀ G`` operator is SPD by construction, and its barrier-free
-    apply sidesteps the wavefront path entirely — so it catches
-    factorization breakdowns IC(0) shares with ILU while remaining a
-    far stronger rung than bare Jacobi.  SPAI is deliberately absent:
-    its symmetrized fit is not guaranteed SPD, which a *fallback* rung
-    must be.
-    """
-    rungs = [
+    """The default ladder: chosen ratio → safe ratio → unsparsified →
+    the :func:`precond_ladder` downgrades of *preconditioner* → plain
+    CG (``ilu0``: ``… → full → ic0 → fsai → jacobi → cg``)."""
+    return (
         FallbackRung("spcg", "spcg", preconditioner, k=k),
         FallbackRung("spcg-safe", "spcg-fixed", preconditioner,
                      ratio=float(min(ratios)), k=k),
         FallbackRung("full", "pcg", preconditioner, k=k),
-    ]
-    if preconditioner != "ic0":
-        rungs.append(FallbackRung("ic0", "pcg", "ic0"))
-    if preconditioner != "fsai":
-        rungs.append(FallbackRung("fsai", "pcg", "fsai"))
-    if preconditioner != "jacobi":
-        rungs.append(FallbackRung("jacobi", "pcg", "jacobi"))
-    rungs.append(FallbackRung("cg", "cg"))
-    return tuple(rungs)
+        *(FallbackRung(kind, "pcg", kind)
+          for kind in precond_ladder(preconditioner)[1:]),
+        FallbackRung("cg", "cg"))
 
 
 @dataclass(frozen=True)
@@ -114,9 +127,6 @@ class FallbackPolicy:
 
     Attributes
     ----------
-    rungs:
-        The ladder; :func:`default_ladder` (built from the call-site
-        preconditioner/ratios) when ``None``.
     max_iters_per_attempt:
         Iteration cap per attempt (the criterion's cap when ``None``).
     seconds_budget_per_attempt:
@@ -125,32 +135,11 @@ class FallbackPolicy:
         *device*.  ``None`` disables it.
     device:
         Machine model pricing the seconds budget.
-    guard:
-        Health-monitor thresholds (see :class:`GuardConfig`).
-    pivot_boost_retry:
-        Retry a rung whose factorization hit a zero pivot with boosting
-        enabled (magnitude *pivot_boost*).
-    pivot_boost:
-        Relative boost magnitude for the escalated retry.
-    ic0_shift_retry:
-        Retry an IC(0) breakdown with diagonal shift *ic0_shift*.
-    ic0_shift:
-        Relative Manteuffel shift for the escalated retry.
-    transient_retries:
-        Same-rung retries earned by transient failure classes
-        (NaN/Inf injection, sync failures).
     """
 
-    rungs: tuple[FallbackRung, ...] | None = None
     max_iters_per_attempt: int | None = None
     seconds_budget_per_attempt: float | None = None
     device: DeviceModel = A100
-    guard: GuardConfig = field(default_factory=GuardConfig)
-    pivot_boost_retry: bool = True
-    pivot_boost: float = 1e-4
-    ic0_shift_retry: bool = True
-    ic0_shift: float = 1e-2
-    transient_retries: int = 1
 
 
 @dataclass(frozen=True)
@@ -266,8 +255,8 @@ def robust_spcg(a: CSRMatrix, b: np.ndarray, *,
     Parameters match :func:`repro.core.spcg.spcg` plus:
 
     policy:
-        :class:`FallbackPolicy` (defaults: full ladder, pivot-boost and
-        shift escalation, one transient retry, guards on).
+        :class:`FallbackPolicy`: attempt budgets and the pricing device
+        (defaults when ``None``).
     callback:
         Chained in front of the health guard of every attempt.
     fault_plan:
@@ -291,13 +280,12 @@ def robust_spcg(a: CSRMatrix, b: np.ndarray, *,
     """
     policy = policy or FallbackPolicy()
     crit = criterion or StoppingCriterion.paper_default()
-    rungs = policy.rungs or default_ladder(preconditioner, k=k,
-                                           ratios=ratios)
+    rungs = default_ladder(preconditioner, k=k, ratios=ratios)
     b = np.asarray(b)
-    b_norm = float(np.linalg.norm(b))
-    guard_cfg = policy.guard
-    if guard_cfg.floor < crit.threshold(b_norm):
-        guard_cfg = replace(guard_cfg, floor=crit.threshold(b_norm))
+    # Guards floored at the stopping threshold, so a solve that has
+    # effectively converged is never misread as stagnating.
+    guard_cfg = GuardConfig(
+        floor=max(0.0, crit.threshold(float(np.linalg.norm(b)))))
 
     attempts: list[AttemptRecord] = []
     decision: SparsificationDecision | None = None
@@ -362,8 +350,7 @@ def robust_spcg(a: CSRMatrix, b: np.ndarray, *,
                         a, tau=tau, omega=omega, ratios=ratios)
                 m_mat, ratio = decision.a_hat, decision.chosen_ratio
             elif rung.method == "spcg-fixed":
-                ratio = float(rung.ratio if rung.ratio is not None
-                              else min(ratios))
+                ratio = rung.ratio
                 m_mat = sparsify_magnitude(a, ratio).a_hat
             else:
                 m_mat = a
@@ -384,13 +371,13 @@ def robust_spcg(a: CSRMatrix, b: np.ndarray, *,
                 if rung.precond in ("ilu0", "iluk"):
                     kwargs["raise_on_zero_pivot"] = not boosted
                     if boosted:
-                        kwargs["pivot_boost"] = policy.pivot_boost
+                        kwargs["pivot_boost"] = PIVOT_BOOST
                 if rung.precond == "ic0" and shifted:
-                    kwargs["shift"] = policy.ic0_shift
+                    kwargs["shift"] = IC0_SHIFT
                 m = make_preconditioner(m_mat, rung.precond,
                                         cache=rung_cache, **kwargs)
                 if fault_plan is not None:
-                    m = fault_plan.wrap_preconditioner(m, rung.name)
+                    m = fault_plan.wrap(m, rung.name)
         except (ReproError, FloatingPointError, ZeroDivisionError) as exc:
             return record(rung, ratio, boosted=boosted, shifted=shifted,
                           exc=exc)
@@ -412,27 +399,23 @@ def robust_spcg(a: CSRMatrix, b: np.ndarray, *,
 
     recovered_by: str | None = None
     for rung in rungs:
-        boosted = shifted = False
-        transient_left = policy.transient_retries
+        boosted = shifted = retried = False
         while True:
             failure = run_once(rung, boosted=boosted, shifted=shifted)
             if failure is None:
                 recovered_by = rung.name
                 break
-            # -- in-rung escalation ------------------------------------
+            # -- in-rung escalation, each at most once per rung --------
             if failure is FailureClass.ZERO_PIVOT and not boosted \
-                    and policy.pivot_boost_retry \
                     and rung.precond in ("ilu0", "iluk"):
                 boosted = True
-                continue
-            if failure is FailureClass.INDEFINITE and not shifted \
-                    and policy.ic0_shift_retry and rung.precond == "ic0":
+            elif failure is FailureClass.INDEFINITE and not shifted \
+                    and rung.precond == "ic0":
                 shifted = True
-                continue
-            if failure in _TRANSIENT and transient_left > 0:
-                transient_left -= 1
-                continue
-            break
+            elif failure in TRANSIENT and not retried:
+                retried = True
+            else:
+                break
         if recovered_by is not None:
             break
 

@@ -13,7 +13,10 @@ safer configuration.
 solve attempt produced — a :class:`~repro.solvers.result.SolveResult`
 with a non-converged :class:`~repro.solvers.result.TerminationReason`, a
 factorization exception, a guard trip — onto the small
-:class:`FailureClass` taxonomy the suite aggregates.
+:class:`FailureClass` taxonomy the suite aggregates.  :data:`TRANSIENT`
+is the one set of classes worth a re-run: the fallback ladder's
+same-rung retry and the serving scheduler's checkpointed retry both
+read it through :func:`classify_failure`.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (AbortSolve, DeviceModelError, FillLimitExceeded,
+from ..errors import (AbortSolve, FillLimitExceeded,
                       NotPositiveDefiniteError, ReproError,
                       SingularFactorError)
 from ..solvers.result import SolveResult, TerminationReason
 
-__all__ = ["FailureClass", "GuardTrip", "GuardConfig", "ResidualGuard",
-           "classify_failure"]
+__all__ = ["FailureClass", "TRANSIENT", "GuardTrip", "GuardConfig",
+           "ResidualGuard", "classify_failure"]
 
 
 class FailureClass(enum.Enum):
@@ -50,8 +53,6 @@ class FailureClass(enum.Enum):
     NO_CONVERGENCE = "no_convergence"
     #: Symbolic ILU(K) fill exceeded its cap.
     FILL_EXPLOSION = "fill_explosion"
-    #: The (modeled) device failed — injected sync/launch failure.
-    SYNC_FAILURE = "sync_failure"
     #: Silent data corruption caught by a detector — ABFT column-
     #: checksum mismatch on the batched SpMV or true-vs-recurrence
     #: residual drift beyond tolerance (bit-flip-style SDC).
@@ -61,6 +62,23 @@ class FailureClass(enum.Enum):
     DEVICE_CRASH = "device_crash"
     #: Anything else the classifier could not name.
     UNKNOWN = "unknown"
+
+
+#: Failure classes a re-run may survive — the fault may have been
+#: transient: the same rung's retry in
+#: :func:`~repro.resilience.fallback.robust_spcg`, a checkpointed retry
+#: in the serving scheduler.
+TRANSIENT = frozenset({FailureClass.NAN_OR_INF,
+                       FailureClass.SILENT_CORRUPTION,
+                       FailureClass.DEVICE_CRASH})
+
+_BY_REASON = {
+    TerminationReason.MAX_ITERATIONS: FailureClass.NO_CONVERGENCE,
+    TerminationReason.INDEFINITE: FailureClass.INDEFINITE,
+    TerminationReason.NUMERICAL_BREAKDOWN: FailureClass.NAN_OR_INF,
+    TerminationReason.CORRUPTED: FailureClass.SILENT_CORRUPTION,
+    TerminationReason.DEVICE_CRASH: FailureClass.DEVICE_CRASH,
+}
 
 
 class GuardTrip(AbortSolve):
@@ -96,10 +114,6 @@ class GuardConfig:
         Minimum relative reduction required over the window: the guard
         trips :data:`FailureClass.STAGNATION` when
         ``min(recent) > (1 - improvement) · min(older)``.
-    check_finite:
-        Trip :data:`FailureClass.NAN_OR_INF` on a non-finite residual
-        (the solver would also catch it one line later; tripping in the
-        guard attributes it to the taxonomy).
     floor:
         Residuals at or below this value never trip (set to the stopping
         threshold so a solve that has effectively converged is not
@@ -111,7 +125,6 @@ class GuardConfig:
     divergence_factor: float = 1e4
     stagnation_window: int = 25
     stagnation_improvement: float = 1e-3
-    check_finite: bool = True
     floor: float = 0.0
     min_iterations: int = 5
 
@@ -163,7 +176,7 @@ class ResidualGuard:
             self.chain(k, r_norm)
         cfg = self.config
         self.history.append(float(r_norm))
-        if cfg.check_finite and not np.isfinite(r_norm):
+        if not np.isfinite(r_norm):
             self._trip(FailureClass.NAN_OR_INF, k, r_norm)
         if r_norm <= cfg.floor or k < cfg.min_iterations:
             return
@@ -201,13 +214,7 @@ def classify_failure(outcome) -> FailureClass | None:
             if isinstance(abort, GuardTrip):
                 return abort.failure
             return FailureClass.UNKNOWN
-        return {
-            TerminationReason.MAX_ITERATIONS: FailureClass.NO_CONVERGENCE,
-            TerminationReason.INDEFINITE: FailureClass.INDEFINITE,
-            TerminationReason.NUMERICAL_BREAKDOWN: FailureClass.NAN_OR_INF,
-            TerminationReason.CORRUPTED: FailureClass.SILENT_CORRUPTION,
-            TerminationReason.DEVICE_CRASH: FailureClass.DEVICE_CRASH,
-        }.get(outcome.reason, FailureClass.UNKNOWN)
+        return _BY_REASON.get(outcome.reason, FailureClass.UNKNOWN)
     if isinstance(outcome, GuardTrip):
         return outcome.failure
     if isinstance(outcome, SingularFactorError):
@@ -216,8 +223,6 @@ def classify_failure(outcome) -> FailureClass | None:
         return FailureClass.INDEFINITE
     if isinstance(outcome, FillLimitExceeded):
         return FailureClass.FILL_EXPLOSION
-    if isinstance(outcome, DeviceModelError):
-        return FailureClass.SYNC_FAILURE
     if isinstance(outcome, FloatingPointError):
         return FailureClass.NAN_OR_INF
     if isinstance(outcome, (ReproError, ArithmeticError)):

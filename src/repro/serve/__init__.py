@@ -16,18 +16,21 @@ server must decide **when to batch, whom to admit, and what to shed**:
   same-fingerprint arrivals join at the next iteration boundary, so
   block occupancy stays high without perturbing resident columns.
 * :mod:`repro.serve.loadgen` — open-loop Poisson, closed-loop, and
-  correlated per-tenant stream workloads with SLO reporting (throughput, goodput under deadline,
-  occupancy, latency percentiles on wall and modeled clocks).
+  correlated per-tenant stream workloads with SLO reporting
+  (throughput, goodput under deadline, occupancy, latency percentiles
+  on wall and modeled clocks).
 * :mod:`repro.serve.healing` — self-healing policies: checkpointed
   retries with exponential backoff (:class:`RetryPolicy`), a
-  per-fingerprint circuit breaker walking the preconditioner ladder
+  per-fingerprint circuit breaker walking the one preconditioner
+  downgrade ladder, :func:`repro.resilience.precond_ladder`
   (:class:`BreakerPolicy`), and overload brownout that sheds accuracy
-  instead of requests (:class:`BrownoutPolicy`); paired with
-  :mod:`repro.chaos` fault injection for the acceptance suite.
+  instead of requests (:class:`BrownoutPolicy`); the scheduler's
+  ``chaos=`` plan is a :class:`repro.resilience.FaultPlan`, and
+  :mod:`repro.chaos` is the acceptance study built on both.
 """
 
 from .healing import (BreakerPolicy, BrownoutPolicy, CircuitBreaker,
-                      RetryPolicy, precond_ladder)
+                      RetryPolicy)
 from .loadgen import (LoadSpec, StreamSpec, poisson_arrivals,
                       run_loadgen, run_stream_loadgen)
 from .queue import AdmissionPolicy, RequestQueue
@@ -47,7 +50,6 @@ __all__ = [
     "BreakerPolicy",
     "BrownoutPolicy",
     "CircuitBreaker",
-    "precond_ladder",
     "BatchingWindow",
     "DispatchRecord",
     "ServeReport",

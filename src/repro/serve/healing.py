@@ -6,15 +6,18 @@ clock:
 * :class:`RetryPolicy` — checkpointed retries.  It both arms the block
   solver's corruption detectors (ABFT checksums + periodic true-residual
   checks, see :class:`~repro.batch.VerifyConfig`) and governs what
-  happens when they — or a device crash — kill a column: the request is
+  happens when they — or a device crash — kill a column: a request
+  whose failure class is :data:`~repro.resilience.TRANSIENT` is
   re-enqueued after exponential backoff, resuming from its last
   *verified* checkpoint instead of iteration 0.
 * :class:`BreakerPolicy` — a per-fingerprint circuit breaker.  Repeated
-  guard trips on one matrix open the breaker, which downgrades that
-  fingerprint's dispatches one rung down the preconditioner ladder
-  (chosen kind → IC(0) → Jacobi): a cheaper, better-conditioned setup
-  that trades iterations for not tripping again.  Sustained success
-  after a cooldown closes it back up one rung at a time.
+  transient failures on one matrix open the breaker, which downgrades
+  that fingerprint's dispatches one rung down the preconditioner ladder
+  :func:`~repro.resilience.precond_ladder` (chosen kind → IC(0) → FSAI
+  → Jacobi, the order ``robust_spcg`` falls back in): a cheaper,
+  better-conditioned setup that trades iterations for not tripping
+  again.  Sustained success after a cooldown closes it back up one rung
+  at a time.
 * :class:`BrownoutPolicy` — graceful overload degradation.  When the
   queue's modeled backlog-seconds crosses ``enter_backlog_s`` the
   server *browns out*: dispatches run with a loosened tolerance and
@@ -33,28 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["RetryPolicy", "BreakerPolicy", "BrownoutPolicy",
-           "CircuitBreaker", "precond_ladder"]
-
-#: Downgrade severity of each preconditioner kind on the robustness
-#: ladder (higher = more conservative).  ``iluk`` shares ILU(0)'s rung:
-#: both are the "chosen ratio" start of the ladder.  The approximate-
-#: inverse family shares IC(0)'s rung — no factorization to break, so a
-#: request *starting* at spai/fsai downgrades straight to Jacobi, while
-#: ILU starters keep their existing ``ic0 → jacobi`` path unchanged.
-_LADDER_LEVEL = {"ilu0": 0, "iluk": 0, "ic0": 1, "spai": 1, "fsai": 1,
-                 "jacobi": 2}
-
-
-def precond_ladder(kind: str) -> tuple[str, ...]:
-    """Downgrade ladder starting at *kind*: ``kind → ic0 → jacobi``,
-    truncated so a rung is never an upgrade of the one before it."""
-    level = _LADDER_LEVEL.get(kind, 0)
-    ladder = [kind]
-    if level < _LADDER_LEVEL["ic0"]:
-        ladder.append("ic0")
-    if level < _LADDER_LEVEL["jacobi"]:
-        ladder.append("jacobi")
-    return tuple(ladder)
+           "CircuitBreaker"]
 
 
 @dataclass(frozen=True)
@@ -66,9 +48,9 @@ class RetryPolicy:
     max_retries:
         Re-dispatch attempts per request after its first; an exhausted
         request completes unconverged with its failure reason intact.
-    backoff_base_s, backoff_factor:
-        Modeled-seconds delay before attempt ``i`` is
-        ``backoff_base_s · backoff_factor**(i-1)``.
+    backoff_base_s:
+        Modeled-seconds delay before the first retry; it doubles with
+        every further attempt.
     checkpoint_every:
         Period (local sweeps per column) of the block solver's true-
         residual verification; columns that pass are checkpointed, so
@@ -76,38 +58,32 @@ class RetryPolicy:
         Checkpoint captures are priced on the modeled clock
         (:func:`~repro.machine.kernels.time_checkpoint`), so cranking
         the frequency up visibly costs modeled time.
-    abft, abft_rtol, residual_rtol:
-        Passed through to :class:`~repro.batch.VerifyConfig`.
     """
 
     max_retries: int = 2
     backoff_base_s: float = 1e-3
-    backoff_factor: float = 2.0
     checkpoint_every: int = 10
-    abft: bool = True
-    abft_rtol: float = 1e-8
-    residual_rtol: float = 1e-6
 
     def __post_init__(self):
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff requires base >= 0 and factor >= 1")
+        if self.backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be non-negative")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
 
     def backoff_s(self, attempt: int) -> float:
         """Delay before retry *attempt* (1-based)."""
-        return self.backoff_base_s * self.backoff_factor ** (attempt - 1)
+        return self.backoff_base_s * 2.0 ** (attempt - 1)
 
 
 @dataclass(frozen=True)
 class BreakerPolicy:
     """Per-fingerprint circuit-breaker knobs.
 
-    ``threshold`` consecutive-ish failures (guard trips, corruption,
-    crashes) on one fingerprint open the breaker one rung; after
-    ``cooldown_s`` modeled seconds of the downgraded configuration
+    ``threshold`` consecutive-ish transient failures (breakdown,
+    corruption, crashes) on one fingerprint open the breaker one rung;
+    after ``cooldown_s`` modeled seconds of the downgraded configuration
     succeeding, it closes one rung back up.
     """
 

@@ -48,26 +48,20 @@ from ..obs.metrics import get_metrics
 from ..obs.trace import get_recorder
 from ..perf.cache import ArtifactCache
 from ..perf.fingerprint import matrix_fingerprint
+from ..resilience import TRANSIENT, classify_failure, precond_ladder
+from ..resilience.faults import CRASH_RESTART_SECONDS, STALL_SECONDS
 from ..solvers.result import TerminationReason
 from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
 from ..batch.block import SlotDecision, VerifyConfig, pcg_block
 from .healing import (BreakerPolicy, BrownoutPolicy, CircuitBreaker,
-                      RetryPolicy, precond_ladder)
+                      RetryPolicy)
 from .queue import AdmissionPolicy, RequestQueue
 from .request import (RequestStatus, ServeOutcome, ServeRequest,
                       validate_rhs, validate_x0)
 
 __all__ = ["BatchingWindow", "DispatchRecord", "ServeReport",
            "ServeScheduler", "percentile"]
-
-#: Failure reasons worth a checkpointed retry: the iterate is gone or
-#: untrustworthy, but a re-run (from the last verified checkpoint, or
-#: from scratch) can still produce the answer.
-_RETRYABLE_REASONS = (TerminationReason.CORRUPTED,
-                      TerminationReason.DEVICE_CRASH,
-                      TerminationReason.NUMERICAL_BREAKDOWN)
-
 
 def percentile(values, q: float) -> float:
     """Nearest-rank percentile (``q`` in [0, 100]); NaN when empty."""
@@ -360,23 +354,25 @@ class ServeScheduler:
         :class:`~repro.serve.healing.RetryPolicy` — arms the block
         solver's ABFT/true-residual detectors, checkpoints verified
         columns at iteration boundaries, and re-dispatches corrupted /
-        crashed / broken-down requests from their last checkpoint after
-        exponential backoff.  ``None`` disables detection and retries
-        (the fail-fast baseline).
+        crashed / broken-down requests (a
+        :data:`~repro.resilience.TRANSIENT` failure class) from their
+        last checkpoint after exponential backoff.  ``None`` disables
+        detection and retries (the fail-fast baseline).
     breaker:
         :class:`~repro.serve.healing.BreakerPolicy` — per-fingerprint
         circuit breaker; repeated failures downgrade the fingerprint's
-        dispatches down the preconditioner ladder (kind → ic0 →
-        jacobi), sustained success closes it back up.
+        dispatches down :func:`~repro.resilience.precond_ladder` (kind
+        → ic0 → fsai → jacobi), sustained success closes it back up.
     brownout:
         :class:`~repro.serve.healing.BrownoutPolicy` — when modeled
         backlog-seconds crosses the threshold, dispatches run with
         loosened tolerances (and optionally a preconditioner downgrade)
         until the backlog drains: accuracy is shed instead of requests.
     chaos:
-        A :class:`~repro.chaos.ChaosPlan` (or duck type) injecting
-        seeded device faults at iteration boundaries — stalls, crashes,
-        transient and silent kernel corruption.
+        A :class:`~repro.resilience.FaultPlan` whose seeded boundary
+        draw (``rate``, ``seed``, ``weights``) injects device faults at
+        iteration boundaries — stalls, crashes, transient and silent
+        kernel corruption.
     on_complete:
         ``on_complete(outcome)`` called as each request reaches a
         terminal state — the closed-loop load generator submits its
@@ -424,9 +420,8 @@ class ServeScheduler:
         self.retry = retry
         self.breaker_policy = breaker
         self.brownout_policy = brownout
-        #: Fault injector (:class:`~repro.chaos.ChaosPlan` duck type:
-        #: ``poll`` / ``wrap_matrix`` / ``wrap_preconditioner`` /
-        #: ``config``); ``None`` serves on a healthy device.
+        #: Fault injector (a :class:`~repro.resilience.FaultPlan`);
+        #: ``None`` serves on a healthy device.
         self.chaos = chaos
         self.on_complete = on_complete
         # Brownout needs the backlog priced even when no backlog-based
@@ -605,31 +600,24 @@ class ServeScheduler:
             else 0.5 * prev + 0.5 * per_rhs_s
 
     # -- self-healing state --------------------------------------------
-    def _breaker(self, fp: str) -> CircuitBreaker | None:
+    def _breaker_record(self, fp: str, failed: bool) -> None:
+        """Feed one outcome to *fp*'s circuit breaker (made on first
+        use); trace the rung transition it causes, if any."""
         if self.breaker_policy is None:
-            return None
+            return
         brk = self._breakers.get(fp)
         if brk is None:
-            brk = CircuitBreaker(self.breaker_policy, len(self._ladder))
-            self._breakers[fp] = brk
-        return brk
-
-    def _breaker_failure(self, fp: str) -> None:
-        brk = self._breaker(fp)
-        if brk is not None and brk.record_failure(self._clock):
-            get_metrics().inc("serve.breaker_open")
+            brk = self._breakers[fp] = CircuitBreaker(
+                self.breaker_policy, len(self._ladder))
+        if failed:
+            moved, what = brk.record_failure(self._clock), "breaker_open"
+        else:
+            moved, what = brk.record_success(self._clock), "breaker_close"
+        if moved:
+            get_metrics().inc(f"serve.{what}")
             rec = get_recorder()
             if rec.enabled:
-                rec.emit("breaker_open", fingerprint=fp, rung=brk.rung,
-                         kind=self._ladder[brk.rung], t_model=self._clock)
-
-    def _breaker_success(self, fp: str) -> None:
-        brk = self._breaker(fp)
-        if brk is not None and brk.record_success(self._clock):
-            get_metrics().inc("serve.breaker_close")
-            rec = get_recorder()
-            if rec.enabled:
-                rec.emit("breaker_close", fingerprint=fp, rung=brk.rung,
+                rec.emit(what, fingerprint=fp, rung=brk.rung,
                          kind=self._ladder[brk.rung], t_model=self._clock)
 
     def _update_brownout(self) -> bool:
@@ -783,14 +771,11 @@ class ServeScheduler:
         verify_cfg = None
         if self.retry is not None:
             verify_cfg = VerifyConfig(
-                abft=self.retry.abft, abft_rtol=self.retry.abft_rtol,
-                residual_check_every=self.retry.checkpoint_every,
-                residual_rtol=self.retry.residual_rtol)
-        # Fault injection rides on operator wrappers; pricing always
-        # sees the true operators.
-        a_run = a if self.chaos is None else self.chaos.wrap_matrix(a)
-        m_run = m if self.chaos is None \
-            else self.chaos.wrap_preconditioner(m)
+                residual_check_every=self.retry.checkpoint_every)
+        # Fault injection rides on the plan's operator proxy; pricing
+        # always sees the true operators.
+        a_run, m_run = (a, m) if self.chaos is None \
+            else (self.chaos.wrap(a), self.chaos.wrap(m))
         # Members resuming from a checkpoint (the retry path) join at
         # the first iteration boundary via the slot hook; fresh members
         # (including from-scratch retries) form the initial block.
@@ -815,14 +800,13 @@ class ServeScheduler:
         metrics.gauge("serve.queue_depth", self.queue.depth)
 
         n = a.n_rows
-        abft_on = verify_cfg is not None and verify_cfg.abft
         cost_cache: dict[int, float] = {}
 
         def cost_of(width: int) -> float:
             c = cost_cache.get(width)
             if c is None:
                 c = iteration_cost(self.device, a, m, batch=width).total
-                if abft_on:
+                if verify_cfg is not None:
                     # The checksum reduction rides on every verified
                     # block SpMV.
                     c += time_abft_check(self.device, n, width)
@@ -864,30 +848,29 @@ class ServeScheduler:
                                  sweep=sweep, keys=list(captured),
                                  t_model=self._clock)
             # Chaos: at most one fault fires per boundary.  Transient
-            # and SDC faults arm the wrapped operators — they land on
-            # the *next* sweep's kernels, never on the detectors, which
-            # already ran for this boundary.  Stalls and crashes act on
-            # the clock and working set right here.
+            # and SDC faults arm the plan's operator proxies and land on
+            # the next output of their channel — this boundary's
+            # admissions, else the next sweep's kernels — never on the
+            # detectors, which already ran for this boundary.  Stalls
+            # and crashes act on the clock and working set right here.
             if self.chaos is not None:
                 event = self.chaos.poll(sweep)
                 if event is not None:
-                    fkind = event.kind.value
                     metrics.inc("chaos.faults")
-                    metrics.inc(f"chaos.faults.{fkind}")
+                    metrics.inc(f"chaos.faults.{event.kind}")
                     if rec.enabled:
-                        rec.emit("fault_injected", kind=fkind,
+                        rec.emit("fault_injected", kind=event.kind,
                                  sweep=sweep, fingerprint=fp,
                                  t_model=self._clock)
-                    if fkind == "stall":
-                        self._clock += self.chaos.config.stall_seconds
-                    elif fkind == "crash":
+                    if event.kind == "stall":
+                        self._clock += STALL_SECONDS
+                    elif event.kind == "crash":
                         # The device dies: every resident column is
                         # lost (DEVICE_CRASH → checkpointed retry), the
                         # block ends, and the restart penalty is paid.
                         # Resumes not yet admitted re-arrive for the
                         # next dispatch instead of vanishing.
-                        self._clock += \
-                            self.chaos.config.crash_restart_seconds
+                        self._clock += CRASH_RESTART_SECONDS
                         for req in pending_resume:
                             self._status[req.req_id] = \
                                 RequestStatus.QUEUED
@@ -986,10 +969,10 @@ class ServeScheduler:
             req = self._requests[rid]
             res = block.column(pos)
             t_done = clock_after.get(int(died[pos]), t_dispatch)
-            if res.reason in _RETRYABLE_REASONS:
-                self._breaker_failure(fp)
-            if (self.retry is not None
-                    and res.reason in _RETRYABLE_REASONS
+            transient = classify_failure(res) in TRANSIENT
+            if transient:
+                self._breaker_record(fp, failed=True)
+            if (self.retry is not None and transient
                     and self._attempts.get(rid, 0)
                     < self.retry.max_retries):
                 # Checkpointed retry: the request re-arrives after
@@ -1023,12 +1006,11 @@ class ServeScheduler:
             else:
                 status = RequestStatus.COMPLETED
                 metrics.inc("serve.completed")
-                if self.retry is not None \
-                        and res.reason in _RETRYABLE_REASONS:
+                if self.retry is not None and transient:
                     metrics.inc("serve.retries_exhausted")
             if res.converged:
                 n_conv += 1
-                self._breaker_success(fp)
+                self._breaker_record(fp, failed=False)
             out = ServeOutcome(
                 req_id=rid, tag=req.tag, status=status,
                 fingerprint=fp, result=res, priority=req.priority,

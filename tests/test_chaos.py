@@ -26,50 +26,47 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.batch import SlotDecision, VerifyConfig, pcg_block
-from repro.chaos import (ChaosConfig, ChaosPlan, FaultKind,
-                         run_chaos_study)
-from repro.chaos.plan import _flip_bit
+from repro.chaos import run_chaos_study
 from repro.core.spcg import make_preconditioner
 from repro.obs import TraceRecorder, use_recorder
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.report import summarize_trace
+from repro.resilience import BOUNDARY_FAULTS, FaultPlan, precond_ladder
+from repro.resilience.faults import _flip_bit
 from repro.serve import (BatchingWindow, BreakerPolicy, BrownoutPolicy,
                          CircuitBreaker, RequestStatus, RetryPolicy,
                          ServeOutcome, ServeReport, ServeScheduler,
-                         percentile, precond_ladder)
+                         percentile)
 from repro.solvers import TerminationReason, pcg
 from repro.sparse import stencil_poisson_2d
 
 SEED = 12345
 
 
-def _crash_only(rate: float = 1.0, seed: int = 1) -> ChaosPlan:
+def _crash_only(rate: float = 1.0, seed: int = 1) -> FaultPlan:
     """A schedule where every fired fault is a full device crash."""
-    return ChaosPlan(ChaosConfig(
-        fault_rate=rate, seed=seed, p_transient=0.0, p_stall=0.0,
-        p_crash=1.0, p_sdc_spmv=0.0, p_sdc_trisolve=0.0))
+    return FaultPlan(rate=rate, seed=seed, weights={"crash": 1.0})
 
 
 # ----------------------------------------------------------------------
 class TestChaosPlan:
     def test_zero_rate_never_fires(self):
-        plan = ChaosPlan(ChaosConfig(fault_rate=0.0, seed=3))
+        plan = FaultPlan(rate=0.0, seed=3)
         assert all(plan.poll(k) is None for k in range(1, 200))
         assert plan.n_events() == 0
 
     def test_fixed_seed_schedule_is_reproducible(self):
-        a, b = (ChaosPlan(ChaosConfig(fault_rate=0.3, seed=9))
-                for _ in range(2))
+        a, b = (FaultPlan(rate=0.3, seed=9) for _ in range(2))
         for k in range(1, 100):
             ea, eb = a.poll(k), b.poll(k)
             assert (ea is None) == (eb is None)
             if ea is not None:
-                assert ea.kind is eb.kind
+                assert ea.kind == eb.kind
                 assert ea.detail.get("bit") == eb.detail.get("bit")
         assert a.n_events() == b.n_events() > 0
 
     def test_reset_rewinds_to_the_same_schedule(self):
-        plan = ChaosPlan(ChaosConfig(fault_rate=0.5, seed=4))
+        plan = FaultPlan(rate=0.5, seed=4)
         first = [plan.poll(k) for k in range(1, 50)]
         plan.reset()
         second = [plan.poll(k) for k in range(1, 50)]
@@ -77,10 +74,10 @@ class TestChaosPlan:
             [e and e.kind for e in second]
 
     def test_all_kinds_reachable_at_high_rate(self):
-        plan = ChaosPlan(ChaosConfig(fault_rate=1.0, seed=0))
+        plan = FaultPlan(rate=1.0, seed=0)
         for k in range(1, 300):
             plan.poll(k)
-        for kind in FaultKind:
+        for kind in BOUNDARY_FAULTS:
             assert plan.n_events(kind) > 0, kind
 
     def test_bit_flip_is_finite_and_material(self):
@@ -93,20 +90,17 @@ class TestChaosPlan:
 
     def test_wrapped_matrix_is_transparent_until_armed(self, poisson16,
                                                        make_rng):
-        plan = ChaosPlan(ChaosConfig(fault_rate=0.0))
-        wrapped = plan.wrap_matrix(poisson16)
+        plan = FaultPlan(rate=1.0)  # never polled: nothing is armed
+        wrapped = plan.wrap(poisson16)
         p = make_rng(0).standard_normal((poisson16.n_rows, 3))
         np.testing.assert_array_equal(wrapped.matmat(p),
                                       poisson16.matmat(p))
         assert wrapped.nnz == poisson16.nnz  # attribute delegation
 
     def test_armed_fault_lands_exactly_once(self, poisson16, make_rng):
-        plan = ChaosPlan(ChaosConfig(fault_rate=1.0, seed=2,
-                                     p_transient=1.0, p_stall=0.0,
-                                     p_crash=0.0, p_sdc_spmv=0.0,
-                                     p_sdc_trisolve=0.0))
-        wrapped = plan.wrap_matrix(poisson16)
-        assert plan.poll(1).kind is FaultKind.TRANSIENT
+        plan = FaultPlan(rate=1.0, seed=2, weights={"transient": 1.0})
+        wrapped = plan.wrap(poisson16)
+        assert plan.poll(1).kind == "transient"
         p = make_rng(1).standard_normal((poisson16.n_rows, 2))
         y = wrapped.matmat(p.copy())
         assert np.isnan(y).sum() == 1
@@ -116,12 +110,100 @@ class TestChaosPlan:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ChaosConfig(fault_rate=1.5)
+            FaultPlan(rate=1.5)
         with pytest.raises(ValueError):
-            ChaosConfig(p_transient=0, p_stall=0, p_crash=0,
-                        p_sdc_spmv=0, p_sdc_trisolve=0)
+            FaultPlan(weights={kind: 0.0 for kind in BOUNDARY_FAULTS})
         with pytest.raises(ValueError):
-            ChaosConfig(flip_bits=(53, 44))
+            FaultPlan(weights={"meltdown": 1.0})
+
+
+# ----------------------------------------------------------------------
+class TestFaultLanding:
+    """Where a fault lands: an armed fault changes exactly one entry of
+    the next output of its channel — of any width, from any caller —
+    and nothing else; unarmed, the proxy is the operator."""
+
+    @staticmethod
+    def _channels(a):
+        m = make_preconditioner(a, "ilu0")
+        return {"matmat": a, "apply": m}
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_unarmed_proxy_is_bitwise_transparent(self, poisson16,
+                                                   make_rng, width):
+        plan = FaultPlan(rate=1.0)  # never polled: nothing is armed
+        x = make_rng(width).standard_normal((poisson16.n_rows, width))
+        for call, op in self._channels(poisson16).items():
+            wrapped = plan.wrap(op)
+            assert wrapped is not op
+            want = getattr(op, call)(x)
+            np.testing.assert_array_equal(getattr(wrapped, call)(x), want)
+            out = np.empty_like(x)
+            assert getattr(wrapped, call)(x, out=out) is out
+            np.testing.assert_array_equal(out, want)
+        assert plan.injected == []
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize("kind,call", [("transient", "matmat"),
+                                           ("sdc_spmv", "matmat"),
+                                           ("sdc_trisolve", "apply")])
+    def test_armed_fault_changes_one_entry_of_its_channel(
+            self, poisson16, make_rng, width, kind, call):
+        plan = FaultPlan(rate=1.0, seed=width, weights={kind: 1.0})
+        ops = self._channels(poisson16)
+        proxies = {c: plan.wrap(op) for c, op in ops.items()}
+        x = make_rng(width).standard_normal((poisson16.n_rows, width))
+        assert plan.poll(1).kind == kind
+        # The other channel's output is untouched, and stays armed-free.
+        (other,) = set(ops) - {call}
+        np.testing.assert_array_equal(getattr(proxies[other], other)(x),
+                                      getattr(ops[other], other)(x))
+        assert plan.injected == []
+        # Exactly one entry of the armed channel's next output changes
+        # (a NaN compares unequal, so it counts as changed).
+        clean = getattr(ops[call], call)(x)
+        hit = getattr(proxies[call], call)(x)
+        assert int((hit != clean).sum()) == 1
+        assert plan.injected == plan.events
+        # Landed once: the following output is clean again.
+        np.testing.assert_array_equal(getattr(proxies[call], call)(x),
+                                      clean)
+
+    def test_warm_admission_runs_through_the_proxy(self, poisson16,
+                                                   make_rng):
+        # A warm start's b − A·x0 is the first SpMV of a block: a fault
+        # armed before the block lands there, and the column breaks
+        # down at its admission.
+        plan = FaultPlan(rate=1.0, seed=0, weights={"transient": 1.0})
+        rng = make_rng(3)
+        b = rng.standard_normal(poisson16.n_rows)
+        x0 = rng.standard_normal((poisson16.n_rows, 1))
+        plan.poll(1)
+        res = pcg_block(plan.wrap(poisson16), b,
+                        make_preconditioner(poisson16, "jacobi"), x0=x0)
+        assert len(plan.injected) == 1
+        assert res.reasons[0] is TerminationReason.NUMERICAL_BREAKDOWN
+        assert res.n_iters[0] == 0
+
+    def test_true_residual_check_runs_through_the_proxy(self, poisson16,
+                                                        make_rng):
+        # Armed after a sweep's SpMV, a fault lands on the next matmat:
+        # the boundary's true-residual check, which then reports drift.
+        plan = FaultPlan(rate=1.0, seed=0, weights={"transient": 1.0})
+        b = make_rng(4).standard_normal(poisson16.n_rows)
+
+        def arm_at_3(k, _norms):
+            if k == 3:
+                plan.poll(k)
+
+        res = pcg_block(plan.wrap(poisson16), b,
+                        make_preconditioner(poisson16, "jacobi"),
+                        callback=arm_at_3,
+                        verify=VerifyConfig(residual_check_every=1))
+        (caught,) = res.extra["verify"]["detections"]
+        assert caught["method"] == "residual" and caught["sweep"] == 4
+        assert plan.injected == plan.events
+        assert res.reasons[0] is TerminationReason.CORRUPTED
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +251,7 @@ class TestChecksumDetection:
         rng = np.random.default_rng(SEED)
         b = rng.standard_normal((a.n_rows, 3))
         m = make_preconditioner(a, "jacobi")
-        verify = VerifyConfig(abft=True, residual_check_every=None)
+        verify = VerifyConfig(residual_check_every=None)
         wrapped = _FlipOnce(a, sweep=sweep, row=row, col=col, bit=bit,
                             abft_rtol=verify.abft_rtol)
         res = pcg_block(wrapped, b, m, verify=verify)
@@ -193,7 +275,7 @@ class TestChecksumDetection:
 
     def test_zero_false_positives_over_200_clean_solves(self, poisson16):
         m = make_preconditioner(poisson16, "ilu0")
-        verify = VerifyConfig(abft=True, residual_check_every=5)
+        verify = VerifyConfig(residual_check_every=5)
         rng = np.random.default_rng(SEED)
         n_solved = 0
         for _ in range(25):
@@ -265,7 +347,7 @@ def healing_run():
     a = stencil_poisson_2d(16)
     rng = np.random.default_rng(SEED)
     bs = [rng.standard_normal(a.n_rows) for _ in range(32)]
-    plan = ChaosPlan(ChaosConfig(fault_rate=0.05, seed=7))
+    plan = FaultPlan(rate=0.05, seed=7)
     rec = TraceRecorder()
     metrics = MetricsRegistry()
     with use_recorder(rec), use_metrics(metrics):
@@ -336,6 +418,46 @@ class TestSelfHealingServe:
         assert "| fault rate |" in res.summary_table()
 
 
+def _independent_residual(a, x, b) -> float:
+    """``‖b − A·x‖`` from the CSR arrays with ``np.bincount`` — not
+    through the program's SpMV, which a fault can reach."""
+    rows = np.repeat(np.arange(a.n_rows), np.diff(a.indptr))
+    ax = np.bincount(rows, weights=a.data * x[a.indices],
+                     minlength=a.n_rows)
+    return float(np.linalg.norm(b - ax))
+
+
+class TestAuditProperty:
+    # Every seed in range holds on this tree (all 7,200 cases swept),
+    # so a draw that fails is a regression, never a flake.
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 1199),
+           rate=st.sampled_from((0.05, 0.1, 0.2)),
+           precond=st.sampled_from(("ilu0", "jacobi")))
+    def test_healed_converged_answers_pass_independent_recheck(
+            self, seed, rate, precond):
+        # Self-healing serving never reports a wrong answer converged:
+        # every such outcome's true residual is within 1e-6·‖b‖.
+        a = stencil_poisson_2d(16)
+        rng = np.random.default_rng(SEED)
+        bs = [rng.standard_normal(a.n_rows) for _ in range(16)]
+        sched = ServeScheduler(
+            preconditioner=precond,
+            window=BatchingWindow(max_wait_s=1e-4, max_batch=8),
+            retry=RetryPolicy(max_retries=4, checkpoint_every=10),
+            breaker=BreakerPolicy(threshold=4),
+            chaos=FaultPlan(rate=rate, seed=seed))
+        for i, b in enumerate(bs):
+            sched.submit(a, b, arrival_s=i * 2e-4)
+        report = sched.run()
+        assert len(report.outcomes) == len(bs)
+        for o in report.outcomes:
+            if o.result is not None and o.result.converged:
+                b = bs[o.req_id]
+                assert _independent_residual(a, o.result.x, b) \
+                    <= 1e-6 * np.linalg.norm(b), (seed, rate, precond)
+
+
 # ----------------------------------------------------------------------
 class TestRetryBookkeeping:
     def _one_request_sched(self, retry, *, chaos, deadline_s=None,
@@ -391,8 +513,10 @@ class TestRetryBookkeeping:
 # ----------------------------------------------------------------------
 class TestBreakerAndBrownout:
     def test_precond_ladder_never_upgrades(self):
-        assert precond_ladder("ilu0") == ("ilu0", "ic0", "jacobi")
-        assert precond_ladder("ic0") == ("ic0", "jacobi")
+        assert precond_ladder("ilu0") == ("ilu0", "ic0", "fsai", "jacobi")
+        assert precond_ladder("ic0") == ("ic0", "fsai", "jacobi")
+        assert precond_ladder("spai") == ("spai", "ic0", "fsai", "jacobi")
+        assert precond_ladder("fsai") == ("fsai", "jacobi")
         assert precond_ladder("jacobi") == ("jacobi",)
 
     def test_circuit_breaker_opens_and_cools_down(self):

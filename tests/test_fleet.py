@@ -7,7 +7,6 @@ population — never naive-average per-device figures."""
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosConfig, ChaosPlan
 from repro.core.spcg import make_preconditioner
 from repro.fleet import (FleetReport, FleetRouter, FleetScheduler,
                          comm_iteration_cost, fleet_mean_occupancy,
@@ -15,6 +14,7 @@ from repro.fleet import (FleetReport, FleetRouter, FleetScheduler,
 from repro.machine import A100, IB_HDR, NVLINK, ZERO_LINK
 from repro.obs import TraceRecorder, use_recorder
 from repro.perf.cache import ArtifactCache
+from repro.resilience import FaultPlan
 from repro.serve import LoadSpec, RetryPolicy
 from repro.serve.request import RequestStatus, ServeOutcome
 from repro.serve.scheduler import DispatchRecord, ServeReport, percentile
@@ -236,8 +236,7 @@ class TestFleetScheduler:
 
     def test_chaos_plans_are_per_device(self):
         mats = _mats(2, n=48)
-        plans = [ChaosPlan(ChaosConfig(fault_rate=0.05, seed=11 + d))
-                 for d in range(2)]
+        plans = [FaultPlan(rate=0.05, seed=11 + d) for d in range(2)]
         fleet = FleetScheduler(n_devices=2, preconditioner="jacobi",
                                cache=ArtifactCache(), chaos=plans,
                                retry=RetryPolicy(max_retries=3,
@@ -251,8 +250,7 @@ class TestFleetScheduler:
 
     def test_chaos_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            FleetScheduler(n_devices=2,
-                           chaos=[ChaosPlan(ChaosConfig(seed=0))])
+            FleetScheduler(n_devices=2, chaos=[FaultPlan()])
 
     def test_capacity_table_renders(self):
         mats = _mats(2)

@@ -14,12 +14,11 @@ import pytest
 from repro.core import spcg
 from repro.errors import (AbortSolve, DeviceModelError,
                           NotPositiveDefiniteError, SingularFactorError)
-from repro.machine.timeline import Timeline
-from repro.resilience import (FailureClass, FallbackPolicy, FaultPlan,
-                              FaultSpec, GuardConfig, GuardTrip,
+from repro.resilience import (DOWNGRADE, FailureClass, FallbackPolicy,
+                              FaultPlan, FaultSpec, GuardConfig, GuardTrip,
                               ResidualGuard, RobustSolveReport,
                               classify_failure, default_ladder,
-                              robust_spcg)
+                              precond_ladder, robust_spcg)
 from repro.solvers import (SolveResult, StoppingCriterion,
                            TerminationReason, pcg)
 from repro.sparse import CSRMatrix, stencil_poisson_2d
@@ -215,40 +214,10 @@ class TestFaultPlan:
 
         m = IdentityPreconditioner(poisson20.n_rows)
         plan = FaultPlan(FaultSpec("nan_apply", rungs=("spcg",)))
-        assert plan.wrap_preconditioner(m, "full") is m
-        wrapped = plan.wrap_preconditioner(m, "spcg")
+        assert plan.wrap(m, "full") is m
+        wrapped = plan.wrap(m, "spcg")
         assert wrapped is not m
         assert wrapped.n == m.n
-
-
-class TestTimelineFaults:
-    def test_sync_failure_raises(self):
-        plan = FaultPlan(FaultSpec("sync_failure"))
-        tl = Timeline(fault_hook=plan.timeline_hook())
-        with pytest.raises(DeviceModelError, match="sync failure"):
-            tl.record("spmv", "solve", 1e-6)
-        assert tl.events == []
-
-    def test_event_match_filters(self):
-        plan = FaultPlan(FaultSpec("sync_failure",
-                                   event_match="trisolve"))
-        tl = Timeline(fault_hook=plan.timeline_hook())
-        tl.record("spmv", "solve", 1e-6)  # does not match
-        assert len(tl.events) == 1
-        with pytest.raises(DeviceModelError):
-            tl.record("trisolve_fwd", "solve", 1e-6)
-
-    def test_max_triggers_transient(self):
-        plan = FaultPlan(FaultSpec("sync_failure", max_triggers=1))
-        tl = Timeline(fault_hook=plan.timeline_hook())
-        with pytest.raises(DeviceModelError):
-            tl.record("spmv", "solve", 1e-6)
-        tl.record("spmv", "solve", 1e-6)  # fault exhausted
-        assert len(tl.events) == 1
-
-    def test_no_timeline_specs_means_no_hook(self):
-        plan = FaultPlan(FaultSpec("zero_pivot", rows=(0,)))
-        assert plan.timeline_hook() is None
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +315,7 @@ class TestClassifyFailure:
         assert classify_failure(FillLimitExceeded("f")) \
             is FailureClass.FILL_EXPLOSION
         assert classify_failure(DeviceModelError("s")) \
-            is FailureClass.SYNC_FAILURE
+            is FailureClass.UNKNOWN
         assert classify_failure(FloatingPointError()) \
             is FailureClass.NAN_OR_INF
         assert classify_failure(ReproError("x")) is FailureClass.UNKNOWN
@@ -396,6 +365,24 @@ class TestFallbackLadder:
         assert "ic0" not in [r.name for r in default_ladder("ic0")]
         assert "fsai" not in [r.name for r in default_ladder("fsai")]
         assert "jacobi" not in [r.name for r in default_ladder("jacobi")]
+
+    @pytest.mark.parametrize("kind", ["ilu0", "iluk", "ic0", "spai",
+                                      "fsai", "ssor", "jacobi"])
+    def test_one_downgrade_table(self, kind):
+        # The ladder's preconditioner rungs below the unsparsified one
+        # are exactly the circuit breaker's downgrades: one table.
+        rungs = default_ladder(kind)
+        below_full = [r for r in rungs if r.method == "pcg"][1:]
+        assert tuple(r.precond for r in below_full) \
+            == precond_ladder(kind)[1:]
+        assert [r.name for r in below_full] == [r.precond
+                                                for r in below_full]
+        ladder = precond_ladder(kind)
+        assert set(ladder[1:]) <= set(DOWNGRADE)
+        # Never an upgrade: each rung sits later in the table.
+        levels = [DOWNGRADE.index(x) for x in ladder if x in DOWNGRADE]
+        assert levels == sorted(set(levels))
+        assert ladder[-1] == "jacobi"
 
     def test_healthy_solve_single_attempt(self, poisson20):
         b = _rhs(poisson20)

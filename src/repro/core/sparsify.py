@@ -63,8 +63,9 @@ def sparsify_magnitude(a: CSRMatrix, ratio_percent: float, *,
     Parameters
     ----------
     a:
-        Square CSR matrix; assumed symmetric (the SPD setting of the
-        paper).  Pair dropping uses the strictly-lower entries as pair
+        Square CSR matrix in canonical form (sorted, unique columns in
+        each row); assumed symmetric (the SPD setting of the paper).
+        Pair dropping uses the strictly-lower entries as pair
         representatives, mirroring each drop to the transposed position.
     ratio_percent:
         Percentage ``t`` of ``nnz(A)`` to remove (0–100).  ``t = 0``
@@ -77,8 +78,10 @@ def sparsify_magnitude(a: CSRMatrix, ratio_percent: float, *,
 
     Notes
     -----
-    Selection is *global* over pair magnitudes (ascending ``|value|``),
-    ties broken by position for determinism.  The number of dropped
+    Selection is *global* over pair magnitudes (ascending ``|value|``,
+    NaN last), ties broken by position for determinism; it partitions
+    the magnitudes rather than sorting them, so the whole drop is a few
+    linear passes over the entries.  The number of dropped
     entries is ``2 · ⌊budget / 2⌋`` capped at the available off-diagonal
     pairs; diagonal entries are never candidates.
     """
@@ -101,8 +104,7 @@ def sparsify_magnitude(a: CSRMatrix, ratio_percent: float, *,
                 "matrix")
 
     budget = int(np.floor(ratio_percent / 100.0 * nnz))
-    lower_mask = cols < rid
-    lower_idx = np.flatnonzero(lower_mask)
+    lower_idx = np.flatnonzero(cols < rid)
     n_pairs = min(budget // 2, lower_idx.size)
 
     if n_pairs == 0:
@@ -113,32 +115,43 @@ def sparsify_magnitude(a: CSRMatrix, ratio_percent: float, *,
                               ratio_percent=float(ratio_percent),
                               dropped_nnz=0, original_nnz=nnz)
 
-    mags = np.abs(a.data[lower_idx])
-    order = np.argsort(mags, kind="stable")
-    chosen = lower_idx[order[:n_pairs]]
-
-    # Linear keys of the chosen entries and of their transposed partners.
-    keys_drop = np.concatenate([rid[chosen] * n + cols[chosen],
-                                cols[chosen] * n + rid[chosen]])
-    keys_drop = np.unique(keys_drop)
-    all_keys = rid * n + cols
-    drop_mask = np.isin(all_keys, keys_drop)
-    # Never drop diagonal entries (possible only for a structurally
-    # asymmetric input whose mirrored partner coincides with a diagonal —
-    # impossible here, but guard anyway).
-    drop_mask &= rid != cols
-
-    def build(mask: np.ndarray) -> CSRMatrix:
-        r = rid[mask]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, r + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return CSRMatrix(indptr, cols[mask], a.data[mask].copy(), a.shape,
-                         check=False)
-
-    a_hat = build(~drop_mask)
-    s = build(drop_mask)
+    chosen = lower_idx[_smallest(np.abs(a.data[lower_idx]), n_pairs)]
+    # Each chosen (i, j) drops with its mirror (j, i), found by its
+    # row-major code ``j·n + i`` in the codes of all entries, which a
+    # canonical CSR stores in ascending order.  A structurally missing
+    # mirror drops its representative alone.
+    codes = rid * n + cols
+    mirror = cols[chosen] * n + rid[chosen]
+    at = np.minimum(np.searchsorted(codes, mirror), nnz - 1)
+    found = codes[at] == mirror
+    drop_mask = np.zeros(nnz, dtype=bool)
+    drop_mask[chosen] = True
+    drop_mask[at[found]] = True
+    s_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rid[drop_mask], minlength=n), out=s_ptr[1:])
+    keep_mask = ~drop_mask
+    a_hat = CSRMatrix(a.indptr - s_ptr, cols[keep_mask], a.data[keep_mask],
+                      a.shape, check=False)
+    s = CSRMatrix(s_ptr, cols[drop_mask], a.data[drop_mask], a.shape,
+                  check=False)
     return SparsifyResult(a_hat=a_hat, s=s,
                           ratio_percent=float(ratio_percent),
-                          dropped_nnz=int(drop_mask.sum()),
+                          dropped_nnz=int(s_ptr[-1]),
                           original_nnz=nnz)
+
+
+def _smallest(mags: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the *k* smallest entries of *mags* (``1 ≤ k ≤ size``).
+
+    The set ``np.argsort(mags, kind="stable")[:k]`` picks — ties broken
+    by position, NaN after every number — selected in linear time: every
+    entry below the *k*-th smallest value, then the first tied entries.
+    """
+    kth = np.partition(mags, k - 1)[k - 1]
+    if np.isnan(kth):
+        below = ~np.isnan(mags)
+        tied = ~below
+    else:
+        below, tied = mags < kth, mags == kth
+    picked = np.flatnonzero(below)
+    return np.concatenate([picked, np.flatnonzero(tied)[:k - picked.size]])

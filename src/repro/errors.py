@@ -69,7 +69,8 @@ class SingularFactorError(ReproError, ArithmeticError):
         self.pivot = float(pivot)
         super().__init__(
             message
-            or f"zero or negligible pivot {pivot!r} encountered at row {row}"
+            or f"zero or negligible pivot {self.pivot!r} encountered at "
+               f"row {row}"
         )
 
 

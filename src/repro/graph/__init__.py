@@ -8,9 +8,9 @@ The number of wavefronts is therefore the number of GPU kernel launches /
 synchronizations per triangular solve — the quantity the paper's
 sparsification attacks.
 
-This package computes the DAG, the level schedule (two algorithms: a
-row-sweep reference and a vectorized Kahn frontier propagation), and the
-wavefront statistics used by Algorithm 2 and by the evaluation figures.
+This package computes the DAG, the level schedule (a row sweep over the
+stored entries), and the wavefront statistics used by Algorithm 2 and by
+the evaluation figures.
 """
 
 from .aggregation import AggregatedSchedule, aggregate_levels
@@ -18,7 +18,6 @@ from .dag import DependenceDAG, dependence_dag
 from .levels import (
     LevelSchedule,
     level_schedule,
-    level_schedule_reference,
     wavefront_count,
 )
 from .partition import (
@@ -36,7 +35,6 @@ __all__ = [
     "dependence_dag",
     "LevelSchedule",
     "level_schedule",
-    "level_schedule_reference",
     "wavefront_count",
     "RowPartition",
     "partition_rows",

@@ -100,18 +100,9 @@ def dependence_dag(tri: CSRMatrix, *, kind: str = "lower",
         side of the diagonal and raise :class:`NotTriangularError`
         otherwise.
     """
-    if kind not in ("lower", "upper"):
-        raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
     n = tri.n_rows
-    if tri.shape[0] != tri.shape[1]:
-        raise NotTriangularError("dependence DAG requires a square matrix")
-    rows = np.repeat(np.arange(n, dtype=np.int64), tri.row_lengths())
+    rows = _entry_rows(tri, kind, strict=strict)
     cols = tri.indices
-    if strict:
-        bad = np.any(cols > rows) if kind == "lower" else np.any(cols < rows)
-        if bad:
-            raise NotTriangularError(
-                f"matrix has entries outside the {kind} triangle")
     off = (cols < rows) if kind == "lower" else (cols > rows)
     src = cols[off]
     dst = rows[off]
@@ -124,3 +115,25 @@ def dependence_dag(tri: CSRMatrix, *, kind: str = "lower",
     out_adj = dst[order]
     return DependenceDAG(n=n, out_ptr=out_ptr, out_adj=out_adj,
                          in_degree=in_degree)
+
+
+def _entry_rows(tri: CSRMatrix, kind: str, *, strict: bool = True
+                ) -> np.ndarray:
+    """Row of every stored entry of the triangular matrix *tri*.
+
+    Raises :class:`ValueError` for a *kind* other than ``"lower"`` or
+    ``"upper"``, and :class:`NotTriangularError` for a non-square *tri*
+    or, when *strict*, for an entry on the wrong side of the diagonal.
+    """
+    if kind not in ("lower", "upper"):
+        raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
+    if tri.shape[0] != tri.shape[1]:
+        raise NotTriangularError(
+            f"a triangular matrix must be square, got {tri.shape}")
+    rows = np.repeat(np.arange(tri.n_rows, dtype=np.int64),
+                     tri.row_lengths())
+    if strict and np.any(tri.indices > rows if kind == "lower"
+                         else tri.indices < rows):
+        raise NotTriangularError(
+            f"matrix has entries outside the {kind} triangle")
+    return rows

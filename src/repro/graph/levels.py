@@ -1,15 +1,12 @@
 """Level scheduling (wavefront computation) for triangular solves.
 
-Two interchangeable algorithms are provided:
+:func:`level_schedule` is the textbook row sweep,
+``level[i] = 1 + max(level[j] : T[i,j] != 0, j off the diagonal)``, one
+pass over the stored entries, so its cost grows with ``nnz`` and not
+with ``n × levels``.  The tests hold it to an independent oracle: Kahn
+frontier propagation on the dependence DAG.
 
-* :func:`level_schedule_reference` — the textbook row sweep,
-  ``level[i] = 1 + max(level[j] : L[i,j] != 0, j < i)``, an O(nnz) Python
-  loop kept as an executable specification;
-* :func:`level_schedule` — vectorized Kahn frontier propagation on the
-  dependence DAG: each round peels all in-degree-0 vertices at once with
-  ``np.bincount``, so the Python-level work is O(#levels), not O(n).
-
-Both return a :class:`LevelSchedule`, whose flattened layout
+It returns a :class:`LevelSchedule`, whose flattened layout
 (``rows``/``level_ptr``) is consumed directly by the level-scheduled
 triangular solver and the machine model.
 """
@@ -23,12 +20,11 @@ import numpy as np
 
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import extract_lower
-from .dag import dependence_dag
+from .dag import _entry_rows
 
 __all__ = [
     "LevelSchedule",
     "level_schedule",
-    "level_schedule_reference",
     "wavefront_count",
 ]
 
@@ -108,68 +104,31 @@ def _schedule_from_levels(level_of: np.ndarray) -> LevelSchedule:
                          level_ptr=level_ptr)
 
 
-def level_schedule_reference(tri: CSRMatrix, *, kind: str = "lower"
-                             ) -> LevelSchedule:
-    """Row-sweep level assignment — the executable specification.
-
-    O(nnz) with a Python-level loop over rows; prefer
-    :func:`level_schedule` for large matrices.
-    """
-    n = tri.n_rows
-    level_of = np.zeros(n, dtype=np.int64)
-    indptr, indices = tri.indptr, tri.indices
-    row_iter = range(n) if kind == "lower" else range(n - 1, -1, -1)
-    for i in row_iter:
-        cols = indices[indptr[i]:indptr[i + 1]]
-        deps = cols[cols < i] if kind == "lower" else cols[cols > i]
-        if deps.size:
-            level_of[i] = level_of[deps].max() + 1
-    return _schedule_from_levels(level_of)
-
-
 def level_schedule(tri: CSRMatrix, *, kind: str = "lower") -> LevelSchedule:
-    """Vectorized Kahn frontier propagation on the dependence DAG.
+    """Row-sweep level assignment: ``level[i] = 1 + max(level[j])``.
 
-    Each round gathers the children of the entire current frontier with a
-    single concatenated slice-take and decrements their in-degrees with
-    ``np.bincount``; vertices reaching zero form the next frontier.  The
-    Python loop runs once per *level*, so schedules with few wavefronts —
-    the ones sparsification produces — are also the cheapest to compute.
+    The maximum runs over row *i*'s off-diagonal entries (0 for a row
+    without any), sweeping rows ascending for ``kind="lower"`` and
+    descending for ``"upper"``, so every dependence is final before it
+    is read.  One pass over the stored entries: O(nnz), whatever the
+    number of levels.  The loop reads zero-copy ``memoryview`` slices of
+    the index array, so it allocates no Python copy of the pattern.
+
+    Raises :class:`~repro.errors.NotTriangularError` for a non-square
+    input or an entry on the wrong side of the diagonal: the sweep
+    relies on every dependence lying on the swept side.
     """
-    dag = dependence_dag(tri, kind=kind)
-    n = dag.n
-    level_of = np.zeros(n, dtype=np.int64)
-    in_deg = dag.in_degree.copy()
-    frontier = np.flatnonzero(in_deg == 0)
-    level = 0
-    n_done = 0
-    out_ptr, out_adj = dag.out_ptr, dag.out_adj
-    while frontier.size:
-        level_of[frontier] = level
-        n_done += frontier.size
-        # Gather all children of the frontier in one shot.
-        starts = out_ptr[frontier]
-        ends = out_ptr[frontier + 1]
-        lens = ends - starts
-        total = int(lens.sum())
-        if total == 0:
-            break
-        # Build the index vector [s0..e0-1, s1..e1-1, ...] without a Python
-        # loop: offset each segment's start by its position in the output.
-        take = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])),
-                         lens) + np.arange(total)
-        children = out_adj[take]
-        dec = np.bincount(children, minlength=n)
-        in_deg -= dec
-        newly = np.flatnonzero((in_deg == 0) & (dec > 0))
-        frontier = newly
-        level += 1
-    if n_done != n:
-        # Cannot happen for a valid triangular input; guard against cycles
-        # introduced by a malformed matrix.
-        raise ValueError("dependence graph contains a cycle; "
-                         "input is not lower triangular")
-    return _schedule_from_levels(level_of)
+    _entry_rows(tri, kind)
+    n = tri.n_rows
+    ptr, cols = memoryview(tri.indptr), memoryview(tri.indices)
+    level = [0] * n
+    for i in range(n) if kind == "lower" else range(n - 1, -1, -1):
+        top = 0
+        for j in cols[ptr[i]:ptr[i + 1]]:
+            if j != i and level[j] >= top:
+                top = level[j] + 1
+        level[i] = top
+    return _schedule_from_levels(np.array(level, dtype=np.int64))
 
 
 def wavefront_count(a: CSRMatrix) -> int:

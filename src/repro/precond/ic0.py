@@ -91,7 +91,8 @@ def ic0(a: CSRMatrix, *, shift: float = 0.0) -> CSRMatrix:
             d -= float(np.dot(vals[lo:hi - 1], vals[lo:hi - 1]))
         if d <= 0.0:
             raise NotPositiveDefiniteError(
-                f"IC(0) breakdown: non-positive pivot {d!r} at row {i}")
+                f"IC(0) breakdown: non-positive pivot {float(d)!r} "
+                f"at row {i}")
         vals[diag_pos[i]] = np.sqrt(d)
 
     return CSRMatrix(indptr, indices, vals.astype(a.dtype, copy=False),

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..errors import (NotTriangularError, ScheduleError, ShapeError,
                       SingularFactorError)
+from ..graph.dag import _entry_rows
 from ..graph.levels import LevelSchedule, level_schedule
 from ..graph.partition import RowPartition, partition_rows, split_partition
 from ..sparse.csr import CSRMatrix
@@ -92,19 +93,6 @@ def _pivot_error(row: int, pivot: float, thr: float) -> SingularFactorError:
         f"pivot magnitude {abs(pivot):.3e} at row {row} is at or below "
         f"the rejection threshold {thr:.3e} "
         f"(relative to the largest pivot)")
-
-
-def _entry_rows(tri: CSRMatrix, kind: str) -> np.ndarray:
-    """Row of every stored entry; raises :class:`NotTriangularError` for
-    an entry on the wrong side of the diagonal."""
-    rid = np.repeat(np.arange(tri.n_rows, dtype=np.int64),
-                    tri.row_lengths())
-    if kind == "lower":
-        if np.any(tri.indices > rid):
-            raise NotTriangularError("entries above the diagonal")
-    elif np.any(tri.indices < rid):
-        raise NotTriangularError("entries below the diagonal")
-    return rid
 
 
 def _checked_diag(tri: CSRMatrix, pivot_rtol: float | None) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Compressed sparse column matrix.
 
-CSC is used where column access dominates: the frontier-based level
-scheduler walks the *children* of each solved row, which are exactly the
-rows stored in a column of the lower factor.  A ``CSCMatrix`` of ``L`` is
-the CSR of ``L^T`` with the logical shape kept un-transposed.
+CSC is the column-oriented view: column *j* of a lower factor lists the
+rows that consume ``x_j`` (its children in the dependence DAG).  A
+``CSCMatrix`` of ``L`` is the CSR of ``L^T`` with the logical shape kept
+un-transposed.
 """
 
 from __future__ import annotations

@@ -97,3 +97,38 @@ def random_csr(rng: np.random.Generator, n: int, m: int,
     dense = rng.random((n, m))
     dense[dense > density] = 0.0
     return CSRMatrix.from_dense(dense)
+
+
+def kahn_levels(tri: CSRMatrix, *, kind: str = "lower") -> np.ndarray:
+    """Oracle for :func:`repro.graph.level_schedule`'s ``level_of``.
+
+    Kahn frontier propagation on the dependence DAG, vectorized: each
+    round peels every vertex whose in-degree reaches zero, so a row's
+    level is its longest dependence chain, found without the row sweep.
+    """
+    from repro.graph import dependence_dag
+
+    dag = dependence_dag(tri, kind=kind)
+    n = dag.n
+    level_of = np.zeros(n, dtype=np.int64)
+    in_deg = dag.in_degree.copy()
+    frontier = np.flatnonzero(in_deg == 0)
+    level = 0
+    n_done = 0
+    out_ptr, out_adj = dag.out_ptr, dag.out_adj
+    while frontier.size:
+        level_of[frontier] = level
+        n_done += frontier.size
+        starts = out_ptr[frontier]
+        lens = out_ptr[frontier + 1] - starts
+        total = int(lens.sum())
+        if total == 0:
+            break
+        take = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])),
+                         lens) + np.arange(total)
+        dec = np.bincount(out_adj[take], minlength=n)
+        in_deg -= dec
+        frontier = np.flatnonzero((in_deg == 0) & (dec > 0))
+        level += 1
+    assert n_done == n, "dependence graph contains a cycle"
+    return level_of

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import kahn_levels
 from repro.errors import NotTriangularError
-from repro.graph import (dependence_dag, level_schedule,
-                         level_schedule_reference, wavefront_count,
+from repro.graph import (dependence_dag, level_schedule, wavefront_count,
                          wavefront_reduction_percent, wavefront_stats)
 from repro.sparse import CSRMatrix, eye, stencil_poisson_2d
 
@@ -79,15 +79,14 @@ class TestLevelSchedule:
     @pytest.mark.parametrize("n", [1, 5, 30, 100])
     def test_frontier_matches_reference(self, rng, n):
         low = random_lower(rng, n)
-        a = level_schedule(low)
-        b = level_schedule_reference(low)
-        np.testing.assert_array_equal(a.level_of, b.level_of)
+        np.testing.assert_array_equal(level_schedule(low).level_of,
+                                      kahn_levels(low))
 
     def test_upper_matches_reference(self, rng):
         up = random_lower(rng, 50).transpose()
-        a = level_schedule(up, kind="upper")
-        b = level_schedule_reference(up, kind="upper")
-        np.testing.assert_array_equal(a.level_of, b.level_of)
+        np.testing.assert_array_equal(
+            level_schedule(up, kind="upper").level_of,
+            kahn_levels(up, kind="upper"))
 
     def test_schedule_respects_dependences(self, rng):
         low = random_lower(rng, 60)
@@ -132,6 +131,20 @@ class TestLevelSchedule:
         a = CSRMatrix(np.zeros(1, dtype=np.int64),
                       np.array([], dtype=int), np.array([]), (0, 0))
         assert level_schedule(a).n_levels == 0
+
+    @pytest.mark.parametrize("kind, entry", [("lower", (1, 3)),
+                                             ("upper", (3, 1))])
+    def test_rejects_entry_on_wrong_side(self, kind, entry):
+        dense = np.eye(5)
+        dense[entry] = 2.0
+        with pytest.raises(NotTriangularError):
+            level_schedule(CSRMatrix.from_dense(dense), kind=kind)
+
+    @pytest.mark.parametrize("kind", ["lower", "upper"])
+    def test_rejects_non_square(self, kind):
+        a = CSRMatrix.from_dense(np.eye(4, 3))
+        with pytest.raises(NotTriangularError):
+            level_schedule(a, kind=kind)
 
 
 class TestWavefrontStats:

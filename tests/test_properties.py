@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import kahn_levels
 from repro.core import sparsify_magnitude, wavefront_aware_sparsify
-from repro.graph import level_schedule, level_schedule_reference
+from repro.graph import level_schedule
 from repro.precond import (ScheduledTriangularSolver, ilu0,
                            solve_lower_sequential)
 from repro.sparse import CSRMatrix, add, is_symmetric
@@ -40,6 +41,63 @@ def dense_matrix(draw, max_n=12, square=True, lower=False,
         dense = np.tril(dense, -1)
         np.fill_diagonal(dense, 1.0 if unit_diag else rng.random(n) + 0.5)
     return dense
+
+
+@st.composite
+def triangular_pattern(draw):
+    """A lower or upper triangular pattern of order 0-40: random, with
+    empty rows, or a dense triangle, or a chain; some rows store no
+    diagonal.  Returns ``(tri, kind, shape)``."""
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["lower", "upper"]))
+    shape = draw(st.sampled_from(["random", "dense", "chain"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    if shape == "dense":
+        mask = np.tril(np.ones((n, n), dtype=bool))
+    elif shape == "chain":
+        mask = np.eye(n, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    else:
+        mask = np.tril(rng.random((n, n)) < draw(st.floats(0.0, 0.6)))
+        mask[rng.random(n) < 0.3] = False
+    no_diag = np.flatnonzero(rng.random(n) < draw(st.floats(0.0, 1.0)))
+    mask[no_diag, no_diag] = False
+    dense = mask.astype(np.float64)
+    return (CSRMatrix.from_dense(dense if kind == "lower" else dense.T),
+            kind, shape)
+
+
+@st.composite
+def tied_symmetric(draw):
+    """A symmetric matrix of order 1-14 with a stored diagonal and
+    off-diagonal values drawn from ±1, ±2, ±3 (so magnitudes tie), ±inf
+    and NaN."""
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    pool = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0,
+                     np.inf, -np.inf, np.nan])
+    weights = np.array([6.0] * 6 + [1.0] * 3)
+    vals = rng.choice(pool, size=(n, n), p=weights / weights.sum())
+    vals[rng.random((n, n)) > draw(st.floats(0.05, 0.9))] = 0.0
+    low = np.tril(vals, -1)
+    dense = low + low.T
+    np.fill_diagonal(dense, rng.integers(1, 5, size=n))
+    return CSRMatrix.from_dense(dense)
+
+
+def _argsort_drop_mask(a, ratio):
+    """The entries ``sparsify_magnitude`` drops, selected by a stable
+    argsort of the lower magnitudes and an ``np.isin`` over the codes of
+    all entries: the selection the partition-based one must equal."""
+    n, nnz = a.n_rows, a.nnz
+    rid = np.repeat(np.arange(n, dtype=np.int64), a.row_lengths())
+    cols = a.indices
+    lower_idx = np.flatnonzero(cols < rid)
+    n_pairs = min(int(np.floor(ratio / 100.0 * nnz)) // 2, lower_idx.size)
+    order = np.argsort(np.abs(a.data[lower_idx]), kind="stable")
+    chosen = lower_idx[order[:n_pairs]]
+    keys = np.unique(np.concatenate([rid[chosen] * n + cols[chosen],
+                                     cols[chosen] * n + rid[chosen]]))
+    return np.isin(rid * n + cols, keys)
 
 
 @st.composite
@@ -270,9 +328,8 @@ class TestLevelScheduleProperties:
     @settings(max_examples=50, deadline=None)
     def test_frontier_equals_reference(self, dense):
         low = CSRMatrix.from_dense(dense)
-        a = level_schedule(low)
-        b = level_schedule_reference(low)
-        np.testing.assert_array_equal(a.level_of, b.level_of)
+        np.testing.assert_array_equal(level_schedule(low).level_of,
+                                      kahn_levels(low))
 
     @given(dense_matrix(lower=True))
     @settings(max_examples=50, deadline=None)
@@ -282,6 +339,25 @@ class TestLevelScheduleProperties:
         sched.validate_against(low)
         assert np.array_equal(np.sort(sched.rows),
                               np.arange(low.n_rows))
+
+    @given(triangular_pattern())
+    @settings(max_examples=150, deadline=None)
+    def test_level_of_matches_kahn_both_kinds(self, case):
+        tri, kind, shape = case
+        n = tri.n_rows
+        sched = level_schedule(tri, kind=kind)
+        expect = kahn_levels(tri, kind=kind)
+        np.testing.assert_array_equal(sched.level_of, expect)
+        if shape != "random":
+            # Dense triangles and chains are fully sequential.
+            chain = np.arange(n)
+            np.testing.assert_array_equal(
+                expect, chain if kind == "lower" else chain[::-1])
+        np.testing.assert_array_equal(sched.rows,
+                                      np.lexsort((np.arange(n), expect)))
+        np.testing.assert_array_equal(
+            sched.level_ptr, np.concatenate(([0], np.cumsum(
+                np.bincount(expect)))))
 
     @given(dense_matrix(lower=True))
     @settings(max_examples=30, deadline=None)
@@ -326,6 +402,28 @@ class TestSparsifyProperties:
         assert is_symmetric(res.s, tol=1e-12)
         np.testing.assert_allclose(res.a_hat.diagonal(), a.diagonal())
         assert res.dropped_nnz <= int(ratio / 100 * a.nnz)
+
+    @given(tied_symmetric(),
+           st.one_of(st.sampled_from([0.0, 100.0, "every lower entry"]),
+                     st.floats(0.0, 100.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_argsort_selection(self, a, ratio):
+        rid = np.repeat(np.arange(a.n_rows), a.row_lengths())
+        n_lower = int(np.count_nonzero(a.indices < rid))
+        if ratio == "every lower entry":
+            ratio = 100.0 * (2 * n_lower + 0.5) / a.nnz
+            assert int(np.floor(ratio / 100.0 * a.nnz)) // 2 == n_lower
+        res = sparsify_magnitude(a, ratio)
+        drop = _argsort_drop_mask(a, ratio)
+        for part, mask in ((res.s, drop), (res.a_hat, ~drop)):
+            np.testing.assert_array_equal(
+                part.indptr, np.concatenate(([0], np.cumsum(
+                    np.bincount(rid[mask], minlength=a.n_rows)))))
+            np.testing.assert_array_equal(part.indices, a.indices[mask])
+            np.testing.assert_array_equal(part.data, a.data[mask])
+        assert res.dropped_nnz == int(drop.sum())
+        assert res.original_nnz == a.nnz
+        assert res.ratio_percent == ratio
 
     @given(dense_matrix(spd=True))
     @settings(max_examples=20, deadline=None)

@@ -32,12 +32,9 @@ from ..core.wavefront_aware import (SparsificationDecision,
 from ..errors import ReproError
 from ..machine.device import A100, EPYC_7413, DeviceModel
 from ..machine.kernels import (IterationCost, iteration_cost,
-                               time_ainv_setup,
-                               time_ilu_factorization,
-                               time_sparsification)
+                               time_precond_setup, time_sparsification)
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_recorder
-from ..precond.base import Preconditioner
 from ..precond.iluk import iluk_symbolic
 from ..core.spcg import make_preconditioner
 from ..resilience.fallback import FallbackPolicy, RobustSolveReport, \
@@ -175,25 +172,6 @@ class ExperimentResult:
         return self.spcg.n_iters / self.baseline.n_iters
 
 
-def _factor_time(dev: DeviceModel, m: Preconditioner, kind: str) -> float:
-    """Modeled setup time: ILU factorization or approximate-inverse fit."""
-    profile = getattr(m, "setup_profile", None)
-    if profile is not None:
-        p = profile()
-        return time_ainv_setup(dev, p["n_rows"], p["flops"], p["bytes"])
-    solvers = getattr(m, "solvers", None)
-    if solvers is None:
-        return 0.0
-    fwd, _ = solvers()
-    rows, nnz = fwd.kernel_profile()
-    flops = float(getattr(getattr(m, "factors", None), "factor_flops", 0.0))
-    if kind == "iluk":
-        # Paper: ILU(K) factors computed with SuperLU on the host CPU.
-        return time_ilu_factorization(EPYC_7413, rows, nnz, flops,
-                                      sequential=True)
-    return time_ilu_factorization(dev, rows, nnz, flops)
-
-
 def _metrics_for(a: CSRMatrix, matrix_for_precond: CSRMatrix,
                  b: np.ndarray, dev: DeviceModel, kind: str, k: int,
                  method: str, ratio: float, sparsify_seconds: float,
@@ -212,7 +190,10 @@ def _metrics_for(a: CSRMatrix, matrix_for_precond: CSRMatrix,
             converged=solve.converged,
             n_iters=solve.n_iters,
             per_iteration_seconds=cost.total,
-            factor_seconds=_factor_time(dev, m, kind),
+            # Paper: ILU(K) factors computed with SuperLU on the host CPU.
+            factor_seconds=time_precond_setup(
+                EPYC_7413 if kind == "iluk" else dev, m,
+                sequential=kind == "iluk"),
             sparsify_seconds=sparsify_seconds,
             total_wavefronts=lv[0] + lv[1],
             precond_nnz=m.apply_nnz(),

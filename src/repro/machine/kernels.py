@@ -351,25 +351,24 @@ def time_precond_setup(dev: DeviceModel, preconditioner: Preconditioner,
                        *, sequential: bool = False) -> float:
     """Modeled one-time setup seconds of *preconditioner* on *dev*.
 
-    Dispatches on the metadata the preconditioner exposes: an ILU-family
-    object carrying wavefront ``solvers()`` + ``factors.factor_flops``
-    is priced by :func:`time_ilu_factorization` (``sequential=True``
-    reproduces the paper's host-side SuperLU setting); an
-    approximate-inverse object exposing ``setup_profile()`` is priced
-    by :func:`time_ainv_setup`; anything else (Jacobi, identity) is one
-    diagonal-extraction pass.
+    Dispatches on the metadata the preconditioner exposes: a two-sweep
+    preconditioner with a ``factor_flops`` count (ILU(0), ILU(K), ILUT,
+    and IC(0) at 0 flops) is priced by :func:`time_ilu_factorization`
+    over its forward sweep's wavefronts (``sequential=True`` reproduces
+    the paper's host-side SuperLU setting); an approximate-inverse
+    object exposing ``setup_profile()`` is priced by
+    :func:`time_ainv_setup`; anything else (SSOR, Jacobi, identity) is
+    one diagonal-extraction pass.
     """
     profile = getattr(preconditioner, "setup_profile", None)
     if profile is not None:
         p = profile()
         return time_ainv_setup(dev, p["n_rows"], p["flops"], p["bytes"])
-    solvers = getattr(preconditioner, "solvers", None)
-    factors = getattr(preconditioner, "factors", None)
-    if solvers is not None and factors is not None:
-        fwd, _ = solvers()
+    flops = getattr(preconditioner, "factor_flops", None)
+    if flops is not None:
+        fwd, _ = preconditioner.solvers()
         rows, nnz = fwd.kernel_profile()
-        return time_ilu_factorization(dev, rows, nnz,
-                                      factors.factor_flops,
+        return time_ilu_factorization(dev, rows, nnz, flops,
                                       sequential=sequential)
     n = max(1, preconditioner.n)
     return dev.launch_overhead + _roofline(

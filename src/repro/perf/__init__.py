@@ -6,18 +6,13 @@ See :mod:`repro.perf.cache` (the solver-artifact cache),
 """
 
 from .cache import (ArtifactCache, CacheStats, cache_stats,
-                    cached_level_schedule, cached_triangular_solver,
-                    cached_trisolve_plan, get_cache, set_cache, use_cache)
+                    cached_level_schedule, get_cache, set_cache, use_cache)
 from .fingerprint import matrix_fingerprint, structure_fingerprint
-from .vectorized import (FactorPlan, build_factor_plan,
-                         ilu_numeric_vectorized, solve_lower_vectorized,
-                         solve_upper_vectorized)
+from .vectorized import FactorPlan, build_factor_plan, ilu_numeric_vectorized
 
 __all__ = [
     "ArtifactCache", "CacheStats", "cache_stats", "cached_level_schedule",
-    "cached_triangular_solver", "cached_trisolve_plan",
     "get_cache", "set_cache", "use_cache",
     "matrix_fingerprint", "structure_fingerprint",
     "FactorPlan", "build_factor_plan", "ilu_numeric_vectorized",
-    "solve_lower_vectorized", "solve_upper_vectorized",
 ]

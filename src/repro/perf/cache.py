@@ -1,11 +1,14 @@
 """Solver-artifact cache: content-addressed memoization of the
 inspector half of the inspector–executor pattern.
 
-The expensive preprocessing artifacts of the pipeline — ILU/IC factors,
-wavefront (level) schedules, and :class:`ScheduledTriangularSolver`
-inspectors — depend only on matrix *content* and a small parameter
-tuple, yet the harness recomputes them for every (ratio, preconditioner)
-pair of every sweep.  :class:`ArtifactCache` memoizes them under
+The expensive preprocessing artifacts of the pipeline — preconditioners
+with their factors and triangular solvers
+(:func:`repro.core.make_preconditioner`), wavefront (level) schedules
+(:func:`cached_level_schedule`) and ILU factor plans
+(:func:`repro.perf.vectorized.build_factor_plan`) — depend only on
+matrix *content* or *structure* and a small parameter tuple, yet the
+harness would recompute them for every (ratio, preconditioner) pair of
+every sweep.  :class:`ArtifactCache` memoizes them under
 ``(kind, fingerprint, *params)`` keys with
 
 * hit/miss/eviction counters, per artifact kind (the acceptance test
@@ -36,8 +39,7 @@ from ..obs.trace import get_recorder
 from .fingerprint import structure_fingerprint
 
 __all__ = ["CacheStats", "ArtifactCache", "get_cache", "set_cache",
-           "use_cache", "cache_stats", "cached_level_schedule",
-           "cached_triangular_solver", "cached_trisolve_plan"]
+           "use_cache", "cache_stats", "cached_level_schedule"]
 
 T = TypeVar("T")
 
@@ -263,49 +265,3 @@ def cached_level_schedule(tri, *, kind: str = "lower",
     key = (structure_fingerprint(tri), kind)
     return c.get_or_compute("level_schedule", key,
                             lambda: level_schedule(tri, kind=kind))
-
-
-def cached_triangular_solver(tri, *, kind: str = "lower",
-                             unit_diagonal: bool = False,
-                             cache: ArtifactCache | None = None):
-    """A :class:`ScheduledTriangularSolver` memoized by *content*.
-
-    The solver inspector compacts the off-diagonal entries in schedule
-    order and inverts the diagonal, so it depends on values as well as
-    structure — hence the full :func:`matrix_fingerprint` key.
-    """
-    from ..precond.triangular import ScheduledTriangularSolver
-    from .fingerprint import matrix_fingerprint
-
-    c = cache if cache is not None else get_cache()
-    key = (matrix_fingerprint(tri), kind, bool(unit_diagonal))
-    return c.get_or_compute(
-        "triangular_solver", key,
-        lambda: ScheduledTriangularSolver(
-            tri, kind=kind, unit_diagonal=unit_diagonal,
-            schedule=cached_level_schedule(tri, kind=kind, cache=c)))
-
-
-def cached_trisolve_plan(tri, *, kind: str = "lower",
-                         engine: str = "auto",
-                         n_parts: int | None = None,
-                         device=None,
-                         cache: ArtifactCache | None = None):
-    """A :class:`~repro.precond.engine.TrisolvePlan`, memoized by pattern.
-
-    Engine selection prices both executors from kernel profiles — a
-    function of the sparsity structure and the device only — so the
-    plan caches under the structure fingerprint, like the level
-    schedules it is built from.
-    """
-    from ..precond.engine import plan_trisolve
-
-    c = cache if cache is not None else get_cache()
-    key = (structure_fingerprint(tri), kind, engine,
-           0 if n_parts is None else int(n_parts),
-           "" if device is None else device.name)
-    return c.get_or_compute(
-        "trisolve_plan", key,
-        lambda: plan_trisolve(
-            tri, kind=kind, engine=engine, n_parts=n_parts, device=device,
-            schedule=cached_level_schedule(tri, kind=kind, cache=c)))

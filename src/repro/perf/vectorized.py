@@ -35,10 +35,10 @@ order as the scalar sweep, so the factors are **bitwise identical** to
 the oracle's, and so is the flop count, a function of the pattern that
 the plan counts once.
 
-The scalar implementation stays in :mod:`repro.precond.ilu0` as the
-executable specification; :func:`repro.precond.ilu0.ilu0` and
-:func:`repro.precond.iluk.iluk` select between the two via their
-``numeric`` parameter.
+:func:`repro.precond.ilu0.ilu0` and :func:`repro.precond.iluk.iluk`
+run this sweep.  The scalar implementation,
+:func:`repro.precond.ilu0.ilu_numeric_inplace`, stays as the executable
+specification the tests compare it against.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from ..sparse.ops import extract_lower
 from .cache import ArtifactCache, cached_level_schedule, get_cache
 from .fingerprint import structure_fingerprint
 
-__all__ = ["FactorPlan", "build_factor_plan", "ilu_numeric_vectorized",
-           "solve_lower_vectorized", "solve_upper_vectorized"]
+__all__ = ["FactorPlan", "build_factor_plan", "ilu_numeric_vectorized"]
 
 #: Update candidates expanded at once while compiling a plan; bounds the
 #: inspector's transient memory at about 40 bytes per candidate.
@@ -278,32 +277,3 @@ def ilu_numeric_vectorized(a: CSRMatrix, *, raise_on_zero_pivot: bool = True,
             fdata[diagonals[zero]] = boost if boost > 0 \
                 else max(float(pivot_boost), 1e-8)
     return fdata, plan.flops
-
-
-# ----------------------------------------------------------------------
-# One-shot batched substitutions.
-# ----------------------------------------------------------------------
-
-def solve_lower_vectorized(lower: CSRMatrix, b: np.ndarray, *,
-                           unit_diagonal: bool = False) -> np.ndarray:
-    """Forward substitution via a (cached) wavefront executor.
-
-    Batched alternative to
-    :func:`repro.precond.triangular.solve_lower_sequential` — the scalar
-    row sweep remains the correctness oracle.  The inspector is fetched
-    from the artifact cache, so repeated one-shot solves against the
-    same factor pay the inspector once.
-    """
-    from .cache import cached_triangular_solver
-
-    return cached_triangular_solver(
-        lower, kind="lower", unit_diagonal=unit_diagonal).solve(b)
-
-
-def solve_upper_vectorized(upper: CSRMatrix, b: np.ndarray, *,
-                           unit_diagonal: bool = False) -> np.ndarray:
-    """Backward substitution via a (cached) wavefront executor."""
-    from .cache import cached_triangular_solver
-
-    return cached_triangular_solver(
-        upper, kind="upper", unit_diagonal=unit_diagonal).solve(b)

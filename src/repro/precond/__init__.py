@@ -5,6 +5,10 @@ Implements the preconditioning stack of the paper from scratch:
 * :mod:`~repro.precond.triangular` — forward/backward substitution, both a
   sequential reference and the wavefront (level-scheduled) executor whose
   per-level segmented kernel mirrors one GPU kernel launch per wavefront;
+* :mod:`~repro.precond.engine` — the executor choice per factor and
+  :class:`~repro.precond.engine.TriangularPreconditioner`, the one
+  forward-sweep / backward-sweep application ILU(0), ILU(K), ILUT, IC(0)
+  and SSOR share (each of them only computes its factors);
 * :mod:`~repro.precond.ilu0` — zero-fill incomplete LU (the cuSPARSE
   baseline in the paper);
 * :mod:`~repro.precond.iluk` — level-of-fill ILU(K) (the SuperLU-based
@@ -34,6 +38,7 @@ from .triangular import (
 )
 from .engine import (
     ENGINES,
+    TriangularPreconditioner,
     TrisolvePlan,
     make_triangular_solver,
     plan_trisolve,
@@ -54,6 +59,7 @@ __all__ = [
     "ScheduledTriangularSolver",
     "PartitionedTriangularSolver",
     "ENGINES",
+    "TriangularPreconditioner",
     "TrisolvePlan",
     "make_triangular_solver",
     "plan_trisolve",

@@ -1,6 +1,6 @@
-"""Triangular-solve engine selection: level-scheduled vs partitioned.
+"""Triangular-solve engine selection and the two-sweep preconditioner.
 
-The repo now carries two SpTRSV executors occupying different points in
+The repo carries two SpTRSV executors occupying different points in
 the sync/parallelism design space:
 
 * :class:`~repro.precond.triangular.ScheduledTriangularSolver` — maximal
@@ -14,9 +14,15 @@ Which wins is a property of the *factor*: deep narrow wavefront chains
 partitioning, shallow wide ones favour level scheduling.  The planner
 here prices both on the modeled device — the same cost model the rest
 of the pipeline reports — and ``engine="auto"`` picks the cheaper one
-per factor.  Plans are pattern-only, so they are memoized in
-:mod:`repro.perf` by structure fingerprint like the other inspector
-artifacts (:func:`repro.perf.cache.cached_trisolve_plan`).
+per factor.  A plan is priced afresh for every solver built; the
+preconditioner cache of :func:`repro.core.make_preconditioner` is what
+holds the pricing to once per ``(Â, params)``.
+
+:class:`TriangularPreconditioner` is the one application every
+triangular preconditioner shares — ILU(0), ILU(K), ILUT, IC(0) and
+SSOR differ only in the factors they compute: a forward sweep, an
+optional diagonal scale and a backward sweep, both built by
+:func:`make_triangular_solver`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ import numpy as np
 
 from ..sparse.csr import CSRMatrix
 from ..graph.levels import LevelSchedule, level_schedule
-from ..graph.partition import RowPartition, partition_profiles, partition_rows
+from ..graph.partition import partition_profiles, partition_rows
+from .base import Preconditioner
 from .triangular import (
     PartitionedTriangularSolver,
     ScheduledTriangularSolver,
@@ -35,7 +42,7 @@ from .triangular import (
 )
 
 __all__ = ["ENGINES", "PART_CANDIDATES", "TrisolvePlan", "plan_trisolve",
-           "make_triangular_solver"]
+           "make_triangular_solver", "TriangularPreconditioner"]
 
 #: Accepted values of the ``engine`` knob everywhere it appears
 #: (preconditioner constructors, ``spcg``, the CLI).
@@ -147,31 +154,23 @@ def make_triangular_solver(tri: CSRMatrix, *, kind: str = "lower",
                            n_parts: int | None = None,
                            device=None,
                            schedule: LevelSchedule | None = None,
-                           partition: RowPartition | None = None,
-                           plan: TrisolvePlan | None = None,
                            pivot_rtol: float | None = _PIVOT_RTOL):
     """Build the SpTRSV executor *plan_trisolve* selects for *tri*.
 
-    The one-stop constructor the preconditioners call: resolves
-    ``engine`` (pricing both candidates when ``"auto"``), then builds a
+    The one constructor the preconditioners call: resolves ``engine``
+    (pricing both candidates unless it is ``"levels"``), then builds a
     :class:`ScheduledTriangularSolver` or
-    :class:`PartitionedTriangularSolver` accordingly.  Pass a cached
-    *plan* (see :func:`repro.perf.cache.cached_trisolve_plan`) to skip
-    the pricing; *schedule*/*partition* short-circuit the respective
-    inspectors.
+    :class:`PartitionedTriangularSolver` accordingly.  *schedule*
+    short-circuits the level-scheduling inspector.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "levels":
-        return ScheduledTriangularSolver(tri, kind=kind,
-                                         unit_diagonal=unit_diagonal,
-                                         schedule=schedule,
-                                         pivot_rtol=pivot_rtol)
-    if plan is None:
+    plan = None
+    if engine != "levels":
         plan = plan_trisolve(tri, kind=kind, engine=engine,
                              n_parts=n_parts, device=device,
                              schedule=schedule)
-    if plan.engine == "levels":
+    if plan is None or plan.engine == "levels":
         return ScheduledTriangularSolver(tri, kind=kind,
                                          unit_diagonal=unit_diagonal,
                                          schedule=schedule,
@@ -179,5 +178,84 @@ def make_triangular_solver(tri: CSRMatrix, *, kind: str = "lower",
     return PartitionedTriangularSolver(tri, kind=kind,
                                        unit_diagonal=unit_diagonal,
                                        n_parts=plan.n_parts,
-                                       partition=partition,
                                        pivot_rtol=pivot_rtol)
+
+
+class TriangularPreconditioner(Preconditioner):
+    """``z = U⁻¹ (s ⊙ L⁻¹ r)``: a forward sweep, an optional diagonal
+    scale and a backward sweep.
+
+    The subclasses compute the factors; this class alone builds the two
+    executors and reports what the cost model reads.
+
+    Parameters
+    ----------
+    lower, upper:
+        Factors of the forward and the backward sweep.
+    unit_lower:
+        *lower* is the strictly-lower part of a unit-lower factor
+        (LU's convention); its diagonal is implicitly 1.
+    scale:
+        Per-row scale applied between the sweeps (SSOR's folded
+        ``(2−ω)/ω²·D``), or ``None``.
+    lower_schedule, upper_schedule:
+        Optional precomputed wavefront schedules of the two factors.
+    factor_flops:
+        FLOPs of the numeric factorization, which
+        :func:`repro.machine.kernels.time_precond_setup` prices as one;
+        ``None`` when nothing is factored.
+    engine, n_parts, device:
+        SpTRSV executor selection, per factor, as for
+        :func:`make_triangular_solver`.
+    """
+
+    def __init__(self, lower: CSRMatrix, upper: CSRMatrix, *,
+                 unit_lower: bool = False,
+                 scale: np.ndarray | None = None,
+                 lower_schedule: LevelSchedule | None = None,
+                 upper_schedule: LevelSchedule | None = None,
+                 factor_flops: float | None = None,
+                 engine: str = "levels", n_parts: int | None = None,
+                 device=None):
+        self.lower, self.upper = lower, upper
+        self.unit_lower = bool(unit_lower)
+        self.scale = scale
+        self.factor_flops = factor_flops
+        self._fwd = make_triangular_solver(
+            lower, kind="lower", unit_diagonal=self.unit_lower,
+            engine=engine, n_parts=n_parts, device=device,
+            schedule=lower_schedule)
+        self._bwd = make_triangular_solver(
+            upper, kind="upper", engine=engine, n_parts=n_parts,
+            device=device, schedule=upper_schedule)
+        #: Engines the (forward, backward) sweeps resolved to.
+        self.engine = (self._fwd.engine, self._bwd.engine)
+
+    @property
+    def n(self) -> int:
+        return self.lower.n_rows
+
+    @property
+    def value_dtype(self) -> np.dtype:
+        return np.dtype(self.lower.dtype)
+
+    def apply(self, r: np.ndarray, out: np.ndarray | None = None
+              ) -> np.ndarray:
+        """``z = U⁻¹ (s ⊙ L⁻¹ r)`` via the two sweeps."""
+        y = self._fwd.solve(r)
+        if self.scale is not None:
+            y = y * (self.scale if y.ndim == 1 else self.scale[:, None])
+        return self._bwd.solve(y, out=out)
+
+    def apply_nnz(self) -> int:
+        """Stored factor entries, plus one op per row for an implicit
+        unit diagonal or for the scale."""
+        extra = self.n if self.unit_lower or self.scale is not None else 0
+        return self.lower.nnz + self.upper.nnz + extra
+
+    def apply_levels(self) -> tuple[int, int]:
+        return (self._fwd.n_levels, self._bwd.n_levels)
+
+    def solvers(self) -> tuple:
+        """The (forward, backward) triangular solvers, for the cost model."""
+        return self._fwd, self._bwd

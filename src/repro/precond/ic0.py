@@ -15,8 +15,7 @@ from ..errors import (NotPositiveDefiniteError, ShapeError,
                       SparseFormatError)
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import extract_lower
-from .base import Preconditioner
-from .triangular import ScheduledTriangularSolver
+from .engine import TriangularPreconditioner
 
 __all__ = ["ic0", "IC0Preconditioner"]
 
@@ -99,14 +98,16 @@ def ic0(a: CSRMatrix, *, shift: float = 0.0) -> CSRMatrix:
                      low.shape, check=False)
 
 
-class IC0Preconditioner(Preconditioner):
+class IC0Preconditioner(TriangularPreconditioner):
     """PCG preconditioner applying ``M⁻¹ = L⁻ᵀ L⁻¹`` from IC(0).
 
     Notes
     -----
     The backward sweep operates on the explicit transpose ``Lᵀ`` with its
     own wavefront schedule, exactly mirroring the two cuSPARSE analysis
-    objects a GPU implementation would create.
+    objects a GPU implementation would create.  :func:`ic0` counts no
+    flops, so its setup is priced as a factorization of 0 flops: the
+    wavefront launches and barriers alone.
     """
 
     name = "ic0"
@@ -115,43 +116,6 @@ class IC0Preconditioner(Preconditioner):
                  engine: str = "levels", n_parts: int | None = None,
                  device=None):
         self.factor = ic0(a, shift=shift)
-        self._upper = self.factor.transpose()
-        if engine == "levels":
-            self._fwd = ScheduledTriangularSolver(self.factor, kind="lower",
-                                                  unit_diagonal=False)
-            self._bwd = ScheduledTriangularSolver(self._upper, kind="upper",
-                                                  unit_diagonal=False)
-        else:
-            from .engine import make_triangular_solver
-
-            self._fwd = make_triangular_solver(
-                self.factor, kind="lower", unit_diagonal=False,
-                engine=engine, n_parts=n_parts, device=device)
-            self._bwd = make_triangular_solver(
-                self._upper, kind="upper", unit_diagonal=False,
-                engine=engine, n_parts=n_parts, device=device)
-        self.engine = (self._fwd.engine, self._bwd.engine)
-
-    @property
-    def n(self) -> int:
-        return self.factor.n_rows
-
-    @property
-    def value_dtype(self) -> np.dtype:
-        return np.dtype(self.factor.dtype)
-
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
-        """``z = L⁻ᵀ (L⁻¹ r)``."""
-        y = self._fwd.solve(r)
-        return self._bwd.solve(y, out=out)
-
-    def apply_nnz(self) -> int:
-        return 2 * self.factor.nnz
-
-    def apply_levels(self) -> tuple[int, int]:
-        return (self._fwd.n_levels, self._bwd.n_levels)
-
-    def solvers(self) -> tuple:
-        """The (forward, backward) triangular solvers, for the cost model."""
-        return self._fwd, self._bwd
+        super().__init__(self.factor, self.factor.transpose(),
+                         factor_flops=0.0, engine=engine, n_parts=n_parts,
+                         device=device)

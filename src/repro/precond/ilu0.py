@@ -23,8 +23,7 @@ from ..graph.levels import LevelSchedule
 from ..perf.cache import cached_level_schedule
 from ..perf.vectorized import build_factor_plan, ilu_numeric_vectorized
 from ..sparse.csr import CSRMatrix
-from .base import Preconditioner
-from .triangular import ScheduledTriangularSolver
+from .engine import TriangularPreconditioner
 
 __all__ = ["ILUFactors", "ilu0", "ilu_numeric_inplace", "ILU0Preconditioner"]
 
@@ -109,37 +108,30 @@ def _split_factored(a: CSRMatrix, fdata: np.ndarray,
 
 
 def _factor_pattern(a: CSRMatrix, *, raise_on_zero_pivot: bool,
-                    pivot_boost: float, numeric: str) -> ILUFactors:
+                    pivot_boost: float) -> ILUFactors:
     """Numeric ILU on *a*'s fixed pattern, split into factors of
     ``a.dtype`` — the shared tail of :func:`ilu0` and ILU(K)."""
-    schedule = None
-    if numeric == "vectorized":
-        plan = build_factor_plan(a)
-        fdata, flops = ilu_numeric_vectorized(
-            a, raise_on_zero_pivot=raise_on_zero_pivot,
-            pivot_boost=pivot_boost, plan=plan)
-        schedule = plan.schedule
-    elif numeric == "scalar":
-        fdata, flops = ilu_numeric_inplace(
-            a, raise_on_zero_pivot=raise_on_zero_pivot,
-            pivot_boost=pivot_boost)
-    else:
-        raise ValueError(f"unknown numeric mode {numeric!r}")
+    plan = build_factor_plan(a)
+    fdata, flops = ilu_numeric_vectorized(
+        a, raise_on_zero_pivot=raise_on_zero_pivot,
+        pivot_boost=pivot_boost, plan=plan)
     return _split_factored(a, fdata.astype(a.dtype, copy=False), flops,
-                           schedule)
+                           plan.schedule)
 
 
 def ilu_numeric_inplace(a: CSRMatrix, *, raise_on_zero_pivot: bool = True,
                         pivot_boost: float = 1e-8
                         ) -> tuple[np.ndarray, float]:
-    """Numeric ILU sweep on a *fixed* pattern.
+    """Numeric ILU sweep on a *fixed* pattern — the per-row reference.
 
     Returns ``(factored values, flop count)``.
 
-    Shared by :func:`ilu0` (pattern = pattern of ``A``) and
-    :func:`repro.precond.iluk.iluk` (pattern = level-of-fill closure with
-    explicit zeros injected at fill positions).  The pattern is never
-    extended: this is exactly the "incomplete" in ILU.
+    The executable specification of the sweep :func:`ilu0` (pattern =
+    pattern of ``A``) and :func:`repro.precond.iluk.iluk` (pattern =
+    level-of-fill closure with explicit zeros injected at fill
+    positions) run wavefront-batched; the tests hold the two bitwise
+    equal.  The pattern is never extended: this is exactly the
+    "incomplete" in ILU.
 
     ``pivot_boost`` is the *relative* magnitude (fraction of
     ``max |A|``) substituted for a zero pivot when
@@ -199,8 +191,7 @@ def ilu_numeric_inplace(a: CSRMatrix, *, raise_on_zero_pivot: bool = True,
 
 
 def ilu0(a: CSRMatrix, *, raise_on_zero_pivot: bool = True,
-         pivot_boost: float = 1e-8,
-         numeric: str = "vectorized") -> ILUFactors:
+         pivot_boost: float = 1e-8) -> ILUFactors:
     """Incomplete LU factorization with zero fill-in.
 
     Parameters
@@ -216,11 +207,6 @@ def ilu0(a: CSRMatrix, *, raise_on_zero_pivot: bool = True,
     pivot_boost:
         Relative boost magnitude used for the substitution (default
         1e-8; the resilience ladder escalates it when retrying).
-    numeric:
-        ``"vectorized"`` (default) runs the wavefront-batched sweep of
-        :mod:`repro.perf.vectorized`; ``"scalar"`` runs the per-row
-        reference sweep (the correctness oracle).  Both produce
-        identical factors.
 
     Returns
     -------
@@ -228,26 +214,28 @@ def ilu0(a: CSRMatrix, *, raise_on_zero_pivot: bool = True,
 
     Notes
     -----
-    Works in float64 internally regardless of the input dtype and casts
-    the factors back, mirroring how production codes guard the pivot
+    Runs the wavefront-batched sweep of :mod:`repro.perf.vectorized`,
+    whose factors are bitwise those of the per-row reference sweep
+    :func:`ilu_numeric_inplace` (the correctness oracle).  Works in
+    float64 internally regardless of the input dtype and casts the
+    factors back, mirroring how production codes guard the pivot
     divisions.
     """
     return _factor_pattern(a, raise_on_zero_pivot=raise_on_zero_pivot,
-                           pivot_boost=pivot_boost, numeric=numeric)
+                           pivot_boost=pivot_boost)
 
 
-class ILU0Preconditioner(Preconditioner):
+class ILU0Preconditioner(TriangularPreconditioner):
     """PCG preconditioner applying ``M⁻¹ = U⁻¹ L⁻¹`` from ILU(0) factors.
 
     Parameters
     ----------
     a:
         The (possibly sparsified) system matrix to factor.
-    scheduled:
-        Use the wavefront executor (default); ``False`` selects the
-        sequential reference solvers, useful for validation.
     factors:
         Optionally reuse precomputed :class:`ILUFactors`.
+    raise_on_zero_pivot, pivot_boost:
+        Zero-pivot policy, as for :func:`ilu0`.
     engine:
         SpTRSV executor: ``"levels"`` (default, the original wavefront
         executor), ``"partitioned"``, or ``"auto"`` (modeled-cost
@@ -259,7 +247,7 @@ class ILU0Preconditioner(Preconditioner):
 
     name = "ilu0"
 
-    def __init__(self, a: CSRMatrix | None = None, *, scheduled: bool = True,
+    def __init__(self, a: CSRMatrix | None = None, *,
                  factors: ILUFactors | None = None,
                  raise_on_zero_pivot: bool = True,
                  pivot_boost: float = 1e-8,
@@ -271,62 +259,11 @@ class ILU0Preconditioner(Preconditioner):
             factors = ilu0(a, raise_on_zero_pivot=raise_on_zero_pivot,
                            pivot_boost=pivot_boost)
         self.factors = factors
-        self.scheduled = bool(scheduled)
-        if engine == "levels":
-            self._fwd = ScheduledTriangularSolver(
-                factors.lower, kind="lower", unit_diagonal=True,
-                schedule=factors.lower_schedule)
-            self._bwd = ScheduledTriangularSolver(
-                factors.upper, kind="upper", unit_diagonal=False,
-                schedule=factors.upper_schedule)
-        else:
-            from .engine import make_triangular_solver
+        super().__init__(factors.lower, factors.upper, unit_lower=True,
+                         lower_schedule=factors.lower_schedule,
+                         upper_schedule=factors.upper_schedule,
+                         factor_flops=factors.factor_flops,
+                         engine=engine, n_parts=n_parts, device=device)
 
-            self._fwd = make_triangular_solver(
-                factors.lower, kind="lower", unit_diagonal=True,
-                engine=engine, n_parts=n_parts, device=device,
-                schedule=factors.lower_schedule)
-            self._bwd = make_triangular_solver(
-                factors.upper, kind="upper", unit_diagonal=False,
-                engine=engine, n_parts=n_parts, device=device,
-                schedule=factors.upper_schedule)
-        #: Engines the (forward, backward) sweeps resolved to.
-        self.engine = (self._fwd.engine, self._bwd.engine)
-
-    @property
-    def n(self) -> int:
-        return self.factors.n
-
-    @property
-    def value_dtype(self) -> np.dtype:
-        return np.dtype(self.factors.lower.dtype)
-
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
-        """``z = U⁻¹ (L⁻¹ r)`` via two wavefront-scheduled sweeps."""
-        if self.scheduled:
-            y = self._fwd.solve(r)
-            return self._bwd.solve(y, out=out)
-        from .triangular import solve_lower_sequential, solve_upper_sequential
-
-        if np.ndim(r) == 2:
-            z = np.stack([self.apply(c) for c in np.asarray(r).T], axis=1)
-        else:
-            y = solve_lower_sequential(self.factors.lower, r,
-                                       unit_diagonal=True)
-            z = solve_upper_sequential(self.factors.upper, y)
-        if out is not None:
-            out[...] = z
-            return out
-        return z
-
-    def apply_nnz(self) -> int:
-        return self.factors.nnz + self.n  # implicit unit diagonal ops
-
-    def apply_levels(self) -> tuple[int, int]:
-        return (self.factors.lower_schedule.n_levels,
-                self.factors.upper_schedule.n_levels)
-
-    def solvers(self) -> tuple:
-        """The (forward, backward) triangular solvers, for the cost model."""
-        return self._fwd, self._bwd
+    # perfbench's span tracer wraps this class's own ``apply`` entry.
+    apply = TriangularPreconditioner.apply

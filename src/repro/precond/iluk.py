@@ -22,9 +22,8 @@ import numpy as np
 
 from ..errors import ShapeError, SparseFormatError
 from ..sparse.csr import CSRMatrix
-from .base import Preconditioner
+from .engine import TriangularPreconditioner
 from .ilu0 import ILUFactors, _factor_pattern
-from .triangular import ScheduledTriangularSolver
 
 __all__ = ["SymbolicILU", "iluk_symbolic", "iluk", "ILUKPreconditioner"]
 
@@ -174,22 +173,20 @@ def iluk_symbolic(a: CSRMatrix, k: int, *,
 
 
 def iluk(a: CSRMatrix, k: int, *, raise_on_zero_pivot: bool = True,
-         pivot_boost: float = 1e-8,
-         numeric: str = "vectorized") -> ILUFactors:
+         pivot_boost: float = 1e-8) -> ILUFactors:
     """Incomplete LU factorization with level-of-fill bound *k*.
 
     Equivalent to ILU(0) on the fill-extended pattern returned by
-    :func:`iluk_symbolic`.  ``numeric`` selects the wavefront-batched
-    sweep (default) or the scalar reference sweep, as in
+    :func:`iluk_symbolic`, with the same wavefront-batched sweep as
     :func:`repro.precond.ilu0.ilu0`.
     """
     return _factor_pattern(iluk_symbolic(a, k).pattern,
                            raise_on_zero_pivot=raise_on_zero_pivot,
-                           pivot_boost=pivot_boost, numeric=numeric)
+                           pivot_boost=pivot_boost)
 
 
-class ILUKPreconditioner(Preconditioner):
-    """PCG preconditioner from ILU(K) factors (wavefront-scheduled).
+class ILUKPreconditioner(TriangularPreconditioner):
+    """PCG preconditioner from ILU(K) factors.
 
     Parameters
     ----------
@@ -197,6 +194,8 @@ class ILUKPreconditioner(Preconditioner):
         System matrix (ignored when *factors* given).
     k:
         Level-of-fill bound.
+    factors, raise_on_zero_pivot, pivot_boost, engine, n_parts, device:
+        As for :class:`~repro.precond.ilu0.ILU0Preconditioner`.
     """
 
     name = "iluk"
@@ -214,47 +213,8 @@ class ILUKPreconditioner(Preconditioner):
                            pivot_boost=pivot_boost)
         self.factors = factors
         self.k = int(k)
-        if engine == "levels":
-            self._fwd = ScheduledTriangularSolver(
-                factors.lower, kind="lower", unit_diagonal=True,
-                schedule=factors.lower_schedule)
-            self._bwd = ScheduledTriangularSolver(
-                factors.upper, kind="upper", unit_diagonal=False,
-                schedule=factors.upper_schedule)
-        else:
-            from .engine import make_triangular_solver
-
-            self._fwd = make_triangular_solver(
-                factors.lower, kind="lower", unit_diagonal=True,
-                engine=engine, n_parts=n_parts, device=device,
-                schedule=factors.lower_schedule)
-            self._bwd = make_triangular_solver(
-                factors.upper, kind="upper", unit_diagonal=False,
-                engine=engine, n_parts=n_parts, device=device,
-                schedule=factors.upper_schedule)
-        self.engine = (self._fwd.engine, self._bwd.engine)
-
-    @property
-    def n(self) -> int:
-        return self.factors.n
-
-    @property
-    def value_dtype(self) -> np.dtype:
-        return np.dtype(self.factors.lower.dtype)
-
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
-        """``z = U⁻¹ (L⁻¹ r)``."""
-        y = self._fwd.solve(r)
-        return self._bwd.solve(y, out=out)
-
-    def apply_nnz(self) -> int:
-        return self.factors.nnz + self.n
-
-    def apply_levels(self) -> tuple[int, int]:
-        return (self.factors.lower_schedule.n_levels,
-                self.factors.upper_schedule.n_levels)
-
-    def solvers(self) -> tuple:
-        """The (forward, backward) triangular solvers, for the cost model."""
-        return self._fwd, self._bwd
+        super().__init__(factors.lower, factors.upper, unit_lower=True,
+                         lower_schedule=factors.lower_schedule,
+                         upper_schedule=factors.upper_schedule,
+                         factor_flops=factors.factor_flops,
+                         engine=engine, n_parts=n_parts, device=device)

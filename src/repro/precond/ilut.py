@@ -28,9 +28,8 @@ import numpy as np
 
 from ..errors import ShapeError, SingularFactorError, SparseFormatError
 from ..sparse.csr import CSRMatrix
-from .base import Preconditioner
+from .engine import TriangularPreconditioner
 from .ilu0 import ILUFactors
-from .triangular import ScheduledTriangularSolver
 
 __all__ = ["ilut", "ILUTPreconditioner"]
 
@@ -151,7 +150,7 @@ def ilut(a: CSRMatrix, *, p: int = 10, drop_tol: float = 1e-3
                       factor_flops=flops)
 
 
-class ILUTPreconditioner(Preconditioner):
+class ILUTPreconditioner(TriangularPreconditioner):
     """PCG preconditioner from ILUT(p, drop_tol) factors."""
 
     name = "ilut"
@@ -161,31 +160,8 @@ class ILUTPreconditioner(Preconditioner):
         self.factors = ilut(a, p=p, drop_tol=drop_tol)
         self.p = int(p)
         self.drop_tol = float(drop_tol)
-        self._fwd = ScheduledTriangularSolver(
-            self.factors.lower, kind="lower", unit_diagonal=True,
-            schedule=self.factors.lower_schedule)
-        self._bwd = ScheduledTriangularSolver(
-            self.factors.upper, kind="upper", unit_diagonal=False,
-            schedule=self.factors.upper_schedule)
-
-    @property
-    def n(self) -> int:
-        return self.factors.n
-
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
-        """``z = U⁻¹ (L⁻¹ r)``."""
-        y = self._fwd.solve(r)
-        return self._bwd.solve(y, out=out)
-
-    def apply_nnz(self) -> int:
-        return self.factors.nnz + self.n
-
-    def apply_levels(self) -> tuple[int, int]:
-        return (self.factors.lower_schedule.n_levels,
-                self.factors.upper_schedule.n_levels)
-
-    def solvers(self) -> tuple[ScheduledTriangularSolver,
-                               ScheduledTriangularSolver]:
-        """The (forward, backward) wavefront solvers, for the cost model."""
-        return self._fwd, self._bwd
+        super().__init__(self.factors.lower, self.factors.upper,
+                         unit_lower=True,
+                         lower_schedule=self.factors.lower_schedule,
+                         upper_schedule=self.factors.upper_schedule,
+                         factor_flops=self.factors.factor_flops)

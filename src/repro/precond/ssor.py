@@ -13,22 +13,18 @@ import numpy as np
 
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import extract_lower, extract_upper
-from .base import Preconditioner
-from .triangular import (
-    _PIVOT_RTOL,
-    _pivot_error,
-    _pivot_threshold,
-    ScheduledTriangularSolver,
-)
+from .engine import TriangularPreconditioner
+from .triangular import _PIVOT_RTOL, _pivot_error, _pivot_threshold
 
 __all__ = ["SSORPreconditioner"]
 
 
-class SSORPreconditioner(Preconditioner):
+class SSORPreconditioner(TriangularPreconditioner):
     """SSOR preconditioner with relaxation parameter ``omega ∈ (0, 2)``.
 
     The two sweeps reuse the wavefront executor, so its
     :meth:`apply_levels` is comparable with the ILU preconditioners'.
+    Nothing is factored, so its setup is priced as one diagonal pass.
     """
 
     name = "ssor"
@@ -58,34 +54,10 @@ class SSORPreconditioner(Preconditioner):
             t.data[dmask] = (d[rid[dmask]] / self.omega).astype(t.dtype)
             return t
 
-        self._low = with_scaled_diag(extract_lower(a))
-        self._up = with_scaled_diag(extract_upper(a))
-        self._fwd = ScheduledTriangularSolver(self._low, kind="lower")
-        self._bwd = ScheduledTriangularSolver(self._up, kind="upper")
         # M = ω/(2-ω) · (D/ω+L)(D/ω)⁻¹(D/ω+U)  ⇒
         # M⁻¹ = (2-ω)/ω · (D/ω+U)⁻¹ · (D/ω) · (D/ω+L)⁻¹; fold the scalar
         # and the middle D/ω into one scaling vector.
-        self._mid = (d * (2.0 - self.omega)
-                     / self.omega ** 2).astype(a.dtype)
-
-    @property
-    def n(self) -> int:
-        return self._low.n_rows
-
-    def apply(self, r: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
-        """``z = M⁻¹ r`` via forward sweep, diagonal scale, backward sweep."""
-        y = self._fwd.solve(r)
-        y = y * (self._mid if y.ndim == 1 else self._mid[:, None])
-        return self._bwd.solve(y, out=out)
-
-    def apply_nnz(self) -> int:
-        return self._low.nnz + self._up.nnz + self.n
-
-    def apply_levels(self) -> tuple[int, int]:
-        return (self._fwd.n_levels, self._bwd.n_levels)
-
-    def solvers(self) -> tuple[ScheduledTriangularSolver,
-                               ScheduledTriangularSolver]:
-        """The (forward, backward) wavefront solvers, for the cost model."""
-        return self._fwd, self._bwd
+        super().__init__(with_scaled_diag(extract_lower(a)),
+                         with_scaled_diag(extract_upper(a)),
+                         scale=(d * (2.0 - self.omega)
+                                / self.omega ** 2).astype(a.dtype))

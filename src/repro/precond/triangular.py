@@ -262,7 +262,8 @@ class ScheduledTriangularSolver:
         if self.schedule.n_rows != n:
             raise ShapeError("schedule size does not match matrix order")
 
-        rid = _entry_rows(tri, kind)
+        # A schedule built here has already checked the triangle.
+        rid = _entry_rows(tri, kind, strict=schedule is not None)
         off = np.flatnonzero(tri.indices < rid if kind == "lower"
                              else tri.indices > rid)
         rows, cols = rid[off], tri.indices[off]

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
-    "asdtype",
     "REAL_DTYPES",
     "segment_sum",
     "segment_starts_to_lengths",
@@ -24,37 +23,11 @@ __all__ = [
     "spearman",
     "pearson",
     "histogram_fixed",
-    "check_1d",
-    "require_finite",
 ]
 
 #: Floating dtypes the numeric kernels accept (the paper evaluates fp32;
 #: fp64 is the default for convergence studies).
 REAL_DTYPES = (np.float32, np.float64)
-
-
-def asdtype(dtype) -> np.dtype:
-    """Normalize *dtype* to one of the supported real floating dtypes."""
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise TypeError(f"unsupported dtype {dt}; expected float32 or float64")
-    return dt
-
-
-def check_1d(x: np.ndarray, n: int | None = None, name: str = "array") -> np.ndarray:
-    """Validate that *x* is a 1-D array (of length *n* when given)."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {x.shape}")
-    if n is not None and x.shape[0] != n:
-        raise ShapeError(f"{name} must have length {n}, got {x.shape[0]}")
-    return x
-
-
-def require_finite(x: np.ndarray, name: str = "array") -> None:
-    """Raise ``ValueError`` when *x* contains NaN or infinity."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite values")
 
 
 def segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,

@@ -20,8 +20,10 @@ from repro.harness import run_batch_scaling
 from repro.machine import (A100, EPYC_7413, iteration_cost, time_dot,
                            time_spmv, time_trisolve)
 from repro.obs import TraceRecorder, get_metrics, use_recorder
-from repro.precond import (ILU0Preconditioner, JacobiPreconditioner,
-                           SSORPreconditioner, ScheduledTriangularSolver)
+from repro.precond import (IC0Preconditioner, ILU0Preconditioner,
+                           ILUKPreconditioner, ILUTPreconditioner,
+                           JacobiPreconditioner, SSORPreconditioner,
+                           ScheduledTriangularSolver)
 from repro.solvers import StoppingCriterion, TerminationReason, pcg
 from repro.sparse import CSRMatrix, diags, stencil_poisson_2d
 
@@ -295,7 +297,8 @@ class TestBatchedApply:
                                       poisson16.matmat(x))
 
     @pytest.mark.parametrize("precond_cls", [
-        JacobiPreconditioner, SSORPreconditioner, ILU0Preconditioner])
+        JacobiPreconditioner, SSORPreconditioner, ILU0Preconditioner,
+        ILUKPreconditioner, ILUTPreconditioner, IC0Preconditioner])
     def test_preconditioner_apply_block(self, poisson16, make_rng,
                                         precond_cls):
         m = precond_cls(poisson16)

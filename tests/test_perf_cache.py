@@ -7,8 +7,8 @@ import pytest
 
 from repro.core import make_preconditioner, sparsify_magnitude, spcg
 from repro.perf import (ArtifactCache, cache_stats, cached_level_schedule,
-                        cached_triangular_solver, get_cache,
-                        matrix_fingerprint, structure_fingerprint, use_cache)
+                        get_cache, matrix_fingerprint, structure_fingerprint,
+                        use_cache)
 from repro.sparse import CSRMatrix, random_spd
 
 
@@ -172,22 +172,6 @@ class TestCachedWrappers:
 
         np.testing.assert_array_equal(
             s1.level_of, level_schedule(fig1_lower, kind="lower").level_of)
-
-    def test_triangular_solver_cached_by_content(self, fig1_lower, rng):
-        s1 = cached_triangular_solver(fig1_lower, kind="lower",
-                                      unit_diagonal=False)
-        s2 = cached_triangular_solver(fig1_lower, kind="lower",
-                                      unit_diagonal=False)
-        assert s1 is s2
-        # Different values -> different solver.
-        other = CSRMatrix(fig1_lower.indptr, fig1_lower.indices,
-                          fig1_lower.data * 3.0, fig1_lower.shape)
-        s3 = cached_triangular_solver(other, kind="lower",
-                                      unit_diagonal=False)
-        assert s3 is not s1
-        b = rng.standard_normal(fig1_lower.n_rows)
-        np.testing.assert_allclose(fig1_lower.matvec(s1.solve(b)), b,
-                                   atol=1e-10)
 
 
 class TestMakePreconditionerCaching:

@@ -18,13 +18,12 @@ from repro.errors import SingularFactorError, SparseFormatError
 from repro.graph import LevelSchedule, level_schedule
 from repro.perf import (ArtifactCache, build_factor_plan, get_cache,
                         ilu_numeric_vectorized)
-from repro.perf.vectorized import (solve_lower_vectorized,
-                                   solve_upper_vectorized)
 from repro.precond import (PartitionedTriangularSolver,
                            ScheduledTriangularSolver, ilu0,
                            solve_lower_sequential, solve_upper_sequential)
 from repro.precond.ilu0 import ilu_numeric_inplace
 from repro.precond.iluk import iluk, iluk_symbolic
+from repro.precond.ilut import ilut
 from repro.sparse import CSRMatrix, random_spd, stencil_poisson_2d
 
 from test_properties import dense_matrix
@@ -177,13 +176,17 @@ class TestCompiledElimination:
     @given(factor_pattern(max_n=18), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_iluk_replay_bitwise(self, a, k):
-        _assert_replay_bitwise(iluk_symbolic(a, k).pattern)
+        pattern = iluk_symbolic(a, k).pattern
+        _assert_replay_bitwise(pattern)
         fv = iluk(a, k)
-        fs = iluk(a, k, numeric="scalar")
-        for side in ("lower", "upper"):
-            np.testing.assert_array_equal(getattr(fv, side).data,
-                                          getattr(fs, side).data)
-        assert fv.factor_flops == fs.factor_flops
+        fs, fls = ilu_numeric_inplace(pattern)
+        fs = fs.astype(a.dtype)
+        # The factors split the pattern's entries, in stored order.
+        rid = np.repeat(np.arange(pattern.n_rows), pattern.row_lengths())
+        below = pattern.indices < rid
+        np.testing.assert_array_equal(fv.lower.data, fs[below])
+        np.testing.assert_array_equal(fv.upper.data, fs[~below])
+        assert fv.factor_flops == fls
         assert fv.lower.dtype == a.dtype
 
     @given(factor_pattern(), st.data())
@@ -254,7 +257,7 @@ class TestScheduleReuse:
         _assert_same_schedule(f.lower_schedule, level_schedule(f.lower))
 
     def test_scalar_factors_schedule_their_lower_factor(self, spd_random):
-        f = ilu0(spd_random, numeric="scalar")
+        f = ilut(spd_random)
         assert f.plan_schedule is None
         _assert_same_schedule(f.lower_schedule, level_schedule(f.lower))
 
@@ -273,28 +276,6 @@ class TestScheduleReuse:
         f = ilu0(spd_random)
         assert f.total_levels > 0
         assert get_cache().stats.misses_by_kind["level_schedule"] == 2
-
-
-class TestFactoryNumericModes:
-    def test_ilu0_modes_agree(self, spd_random):
-        fv = ilu0(spd_random, raise_on_zero_pivot=False)
-        fs = ilu0(spd_random, raise_on_zero_pivot=False, numeric="scalar")
-        np.testing.assert_array_equal(fv.lower.data, fs.lower.data)
-        np.testing.assert_array_equal(fv.upper.data, fs.upper.data)
-        assert fv.factor_flops == fs.factor_flops
-
-    def test_iluk_modes_agree(self, spd_random):
-        fv = iluk(spd_random, 2, raise_on_zero_pivot=False)
-        fs = iluk(spd_random, 2, raise_on_zero_pivot=False,
-                  numeric="scalar")
-        np.testing.assert_array_equal(fv.lower.data, fs.lower.data)
-        np.testing.assert_array_equal(fv.upper.data, fs.upper.data)
-
-    def test_unknown_mode_rejected(self, spd_random):
-        with pytest.raises(ValueError):
-            ilu0(spd_random, numeric="simd")
-        with pytest.raises(ValueError):
-            iluk(spd_random, 1, numeric="simd")
 
 
 class TestExecutorFastPath:
@@ -507,31 +488,6 @@ class TestLevelContiguousExecutor:
         sched = ScheduledTriangularSolver(tri, kind=kind,
                                           unit_diagonal=unit)
         np.testing.assert_array_equal(part.solve(b), sched.solve(b))
-
-
-class TestOneShotSubstitutions:
-    def test_lower_and_upper_match_sequential(self, rng):
-        a = stencil_poisson_2d(10)
-        f = ilu0(a)
-        b = rng.standard_normal(a.n_rows)
-        np.testing.assert_allclose(
-            solve_lower_vectorized(f.lower, b, unit_diagonal=True),
-            solve_lower_sequential(f.lower, b, unit_diagonal=True),
-            rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(
-            solve_upper_vectorized(f.upper, b),
-            solve_upper_sequential(f.upper, b),
-            rtol=1e-9, atol=1e-9)
-
-    def test_repeat_solves_reuse_inspector(self, rng):
-        a = stencil_poisson_2d(10)
-        f = ilu0(a)
-        b = rng.standard_normal(a.n_rows)
-        solve_lower_vectorized(f.lower, b, unit_diagonal=True)
-        solve_lower_vectorized(f.lower, b, unit_diagonal=True)
-        stats = get_cache().stats
-        assert stats.misses_by_kind["triangular_solver"] == 1
-        assert stats.hits_by_kind["triangular_solver"] == 1
 
 
 class TestCachedVsFreshFactors:

@@ -7,7 +7,8 @@ from repro.errors import (NotPositiveDefiniteError, SingularFactorError,
                           SparseFormatError, FillLimitExceeded)
 from repro.precond import (IC0Preconditioner, ILU0Preconditioner,
                            ILUKPreconditioner, ic0, ilu0, iluk,
-                           iluk_symbolic)
+                           iluk_symbolic, solve_lower_sequential,
+                           solve_upper_sequential)
 from repro.sparse import CSRMatrix, random_spd, stencil_poisson_2d
 from repro.solvers import pcg
 
@@ -91,19 +92,10 @@ class TestILU0:
 
     def test_scheduled_equals_sequential_apply(self, poisson16, rng):
         r = rng.standard_normal(poisson16.n_rows)
-        z_sched = ILU0Preconditioner(poisson16, scheduled=True).apply(r)
-        z_seq = ILU0Preconditioner(poisson16, scheduled=False).apply(r)
-        np.testing.assert_allclose(z_sched, z_seq, atol=1e-9)
-
-    def test_sequential_apply_serves_blocks(self, poisson16, rng):
-        # pcg hands its preconditioner a one-column block.
-        m = ILU0Preconditioner(poisson16, scheduled=False)
-        block = rng.standard_normal((poisson16.n_rows, 3))
-        z = m.apply(block)
-        for j in range(3):
-            np.testing.assert_array_equal(z[:, j], m.apply(block[:, j]))
-        b = poisson16.matvec(np.ones(poisson16.n_rows))
-        assert pcg(poisson16, b, m).converged
+        m = ILU0Preconditioner(poisson16)
+        y = solve_lower_sequential(m.factors.lower, r, unit_diagonal=True)
+        z_seq = solve_upper_sequential(m.factors.upper, y)
+        np.testing.assert_allclose(m.apply(r), z_seq, atol=1e-9)
 
     def test_apply_levels_and_nnz(self, poisson16):
         m = ILU0Preconditioner(poisson16)

@@ -13,7 +13,6 @@ from repro.precond import (PartitionedTriangularSolver,
                            ScheduledTriangularSolver, make_triangular_solver,
                            plan_trisolve, solve_lower_sequential,
                            solve_upper_sequential)
-from repro.perf import ArtifactCache, cached_trisolve_plan, use_cache
 from repro.sparse import CSRMatrix, stencil_poisson_1d, stencil_poisson_2d
 
 from conftest import TEST_SEED
@@ -315,16 +314,3 @@ class TestEnginePlanning:
             plan_trisolve(tri, engine="magic")
         with pytest.raises(ValueError):
             make_triangular_solver(tri, engine="magic")
-
-    def test_cached_plan_hits_by_structure(self):
-        tri = chain_lower(64)
-        with use_cache(ArtifactCache()) as c:
-            p1 = cached_trisolve_plan(tri, kind="lower")
-            p2 = cached_trisolve_plan(tri, kind="lower")
-            assert p1 is p2
-            assert c.stats.misses_by_kind.get("trisolve_plan") == 1
-            assert c.stats.hits_by_kind.get("trisolve_plan") == 1
-            # Same pattern, different values: still a structural hit.
-            tri2 = CSRMatrix(tri.indptr, tri.indices, tri.data * 2.0,
-                             tri.shape, check=False)
-            assert cached_trisolve_plan(tri2, kind="lower") is p1

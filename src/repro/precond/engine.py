@@ -27,13 +27,14 @@ optional diagonal scale and a backward sweep, both built by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
 from ..graph.levels import LevelSchedule, level_schedule
-from ..graph.partition import partition_profiles, partition_rows
+from ..graph.partition import (RowPartition, partition_profiles,
+                               partition_rows)
 from .base import Preconditioner
 from .triangular import (
     PartitionedTriangularSolver,
@@ -71,6 +72,11 @@ class TrisolvePlan:
         Modeled seconds of one solve under each engine on *device*.
     device:
         Name of the device the plan was priced on.
+    partition:
+        The best partitioned candidate's inspector result, which
+        :func:`make_triangular_solver` hands to the partitioned executor
+        so the winner is not partitioned twice (``None`` when no
+        candidate priced finite).
     """
 
     engine: str
@@ -78,6 +84,8 @@ class TrisolvePlan:
     levels_seconds: float
     partitioned_seconds: float
     device: str
+    partition: RowPartition | None = field(default=None, repr=False,
+                                           compare=False)
 
     @property
     def speedup(self) -> float:
@@ -130,7 +138,7 @@ def plan_trisolve(tri: CSRMatrix, *, kind: str = "lower",
     n = tri.n_rows
     candidates = ([int(n_parts)] if n_parts is not None
                   else [p for p in PART_CANDIDATES if p <= n] or [1])
-    best_p, best_t = candidates[0], np.inf
+    best_p, best_part, best_t = candidates[0], None, np.inf
     for p in candidates:
         part = partition_rows(tri, p, kind=kind)
         profs = partition_profiles(tri, part)
@@ -138,14 +146,14 @@ def plan_trisolve(tri: CSRMatrix, *, kind: str = "lower",
                                       part.coupling_rows,
                                       part.coupling_nnz)
         if t < best_t:
-            best_p, best_t = part.n_parts, t
+            best_p, best_part, best_t = part.n_parts, part, t
     chosen = engine
     if engine == "auto":
         chosen = "partitioned" if best_t < t_levels else "levels"
     return TrisolvePlan(engine=chosen, n_parts=best_p,
                         levels_seconds=float(t_levels),
                         partitioned_seconds=float(best_t),
-                        device=dev.name)
+                        device=dev.name, partition=best_part)
 
 
 def make_triangular_solver(tri: CSRMatrix, *, kind: str = "lower",
@@ -160,8 +168,9 @@ def make_triangular_solver(tri: CSRMatrix, *, kind: str = "lower",
     The one constructor the preconditioners call: resolves ``engine``
     (pricing both candidates unless it is ``"levels"``), then builds a
     :class:`ScheduledTriangularSolver` or
-    :class:`PartitionedTriangularSolver` accordingly.  *schedule*
-    short-circuits the level-scheduling inspector.
+    :class:`PartitionedTriangularSolver` accordingly, the latter on the
+    partition the plan priced.  *schedule* short-circuits the
+    level-scheduling inspector.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -178,6 +187,7 @@ def make_triangular_solver(tri: CSRMatrix, *, kind: str = "lower",
     return PartitionedTriangularSolver(tri, kind=kind,
                                        unit_diagonal=unit_diagonal,
                                        n_parts=plan.n_parts,
+                                       partition=plan.partition,
                                        pivot_rtol=pivot_rtol)
 
 

@@ -10,7 +10,8 @@ __all__ = ["IdentityPreconditioner"]
 
 
 class IdentityPreconditioner(Preconditioner):
-    """``M = I``; :meth:`apply` returns a copy of the residual.
+    """``M = I``; :meth:`apply` returns a copy of the residual, in its
+    layout.
 
     Used as the unpreconditioned baseline and in tests that need PCG to
     reduce exactly to CG.
@@ -32,7 +33,7 @@ class IdentityPreconditioner(Preconditioner):
         if out is not None:
             out[...] = r
             return out
-        return r.copy()
+        return r.copy(order="K")
 
     def apply_nnz(self) -> int:
         return 0

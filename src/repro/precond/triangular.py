@@ -355,23 +355,26 @@ class ScheduledTriangularSolver:
         """Solve the triangular system for *b*, ``(n,)`` or ``(n, B)``.
 
         One sweep over the wavefronts serves every column: the
-        right-hand side is permuted into schedule order once, each
+        right-hand side is permuted into schedule order once, into a
+        row-interleaved block (a row's ``B`` values side by side), each
         wavefront gathers its segments' operands (the right-hand side of
         each of its rows and the solutions of earlier levels),
         multiplies them by the folded coefficients and sums each segment
         with ``np.add.reduceat`` straight into its slice of the
-        solution, and the result is scattered back once.  The per-level barriers
-        are paid once per sweep, not once per column, and column ``j``
-        of a block solve is bitwise identical to the single-RHS solve
-        of ``b[:, j]``.  Scratch space is allocated per call, so one
-        solver serves concurrent callers.
+        solution, and the result is scattered back once, into a
+        column-major block unless *out* is given (the layout the CG
+        kernel keeps its blocks in; *b* may have any layout).  The
+        per-level barriers are paid once per sweep, not once per
+        column, and column ``j`` of a block solve is bitwise identical
+        to the single-RHS solve of ``b[:, j]``.  Scratch space is
+        allocated per call, so one solver serves concurrent callers.
         """
         b = np.asarray(b)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
             raise ShapeError(f"b must have shape ({self.n},) or "
                              f"({self.n}, B), got {b.shape}")
         dtype = np.result_type(self.dtype, b.dtype)
-        x = out if out is not None else np.empty(b.shape, dtype=dtype)
+        x = out if out is not None else np.empty(b.shape[::-1], dtype).T
         if x.shape != b.shape:
             raise ShapeError(f"out must have shape {b.shape}")
         res = x
@@ -550,7 +553,8 @@ class PartitionedTriangularSolver:
         correction sweep then computes one coupling product ``C x`` and
         re-solves the partitions whose condensed-DAG depth has not been
         reached yet.  The result matches the sequential substitution
-        exactly (see the class docstring).  *out* must not alias *b*.
+        exactly (see the class docstring).  A block comes back
+        column-major unless *out* is given; *out* must not alias *b*.
         """
         b = np.asarray(b)
         if b.ndim == 2:
@@ -560,7 +564,7 @@ class PartitionedTriangularSolver:
         elif b.shape != (self.n,):
             raise ShapeError(f"b must have shape ({self.n},)")
         dtype = np.result_type(self.dtype, b.dtype)
-        x = out if out is not None else np.empty(b.shape, dtype=dtype)
+        x = out if out is not None else np.empty(b.shape[::-1], dtype).T
         if x.shape != b.shape:
             raise ShapeError(f"out must have shape {b.shape}")
         fences = self.partition.fences

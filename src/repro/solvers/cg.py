@@ -25,7 +25,14 @@ hook and a Lanczos recorder; :func:`repro.batch.pcg_block` adds the
 serving hooks (admission, cancellation, verification, checkpoints) at
 the iteration boundary and after the block SpMV.  Because a column's
 arithmetic never depends on its neighbours, a block column *is* the
-one-column solve, bitwise.  The communication-reduced variants of
+one-column solve, bitwise.
+
+The working blocks ``x``, ``r`` and ``p`` are column-major (Fortran
+order), each column one contiguous right-hand side, as are the blocks
+the SpMV and the preconditioners return.  So every per-column inner
+product, norm and scaling reads a view with the BLAS call the 1-D solve
+makes, with no copy, and the block SpMV runs each right-hand side along
+contiguous memory.  The communication-reduced variants of
 :mod:`repro.solvers.comm` share the argument checks (:func:`_prepare`)
 and hand stalled solves to :func:`pcg`.
 """
@@ -100,8 +107,14 @@ def _col(u: np.ndarray, t: int) -> np.ndarray:
     """Column *t* of a block as a contiguous vector, so every reduction
     is the BLAS call a 1-D solve makes (BLAS sums strided views in
     another order, and a last-ulp difference grows into off-by-one
-    iteration counts near the threshold)."""
+    iteration counts near the threshold).  A view of a column-major
+    block, the kernel's own layout; a copy of any other."""
     return np.ascontiguousarray(u[:, t])
+
+
+def _block(cols) -> np.ndarray:
+    """The column-major ``(n, k)`` block of *k* length-``n`` columns."""
+    return np.stack(cols).T
 
 
 def _vdots(u: np.ndarray, v: np.ndarray) -> list:
@@ -137,7 +150,7 @@ def _usable(rz: float) -> bool:
 
 
 def _per_column(f: Callable, u: np.ndarray) -> np.ndarray:
-    return np.stack([f(_col(u, t)) for t in range(u.shape[1])], axis=1)
+    return _block([f(_col(u, t)) for t in range(u.shape[1])])
 
 
 class _BlockCG:
@@ -148,13 +161,15 @@ class _BlockCG:
     it converges, breaks down or runs out of budget, so no column's
     arithmetic ever depends on another's.  Per-column records are
     indexed by column, in admission order; slot ``t`` of ``x, r, p, rz``
-    holds column ``idx[t]``.  ``born[j]`` is the boundary column ``j``
-    joined at, ``died[j]`` the last sweep it held a slot in (0 = before
-    the first sweep), ``widths`` every sweep's entering width.  A frozen
-    column keeps a copy of its iterate, so no retired block outlives the
-    sweep that dropped it.  A *deflator* (``galerkin(x, r)``,
-    ``project(z)``) and a *lanczos* recorder (``alphas``, ``betas``,
-    ``vector(z, rz)``) get one column at a time as a 1-D vector.
+    holds column ``idx[t]``, and ``x, r, p`` stay column-major through
+    every admission and compaction.  ``born[j]`` is the boundary column
+    ``j`` joined at, ``died[j]`` the last sweep it held a slot in (0 =
+    before the first sweep), ``widths`` every sweep's entering width.  A
+    frozen column keeps a copy of its iterate, so no retired block
+    outlives the sweep that dropped it.  A *deflator*
+    (``galerkin(x, r)``, ``project(z)``) and a *lanczos* recorder
+    (``alphas``, ``betas``, ``vector(z, rz)``) get one column at a time
+    as a 1-D vector.
     """
 
     def __init__(self, a: CSRMatrix, m: Preconditioner,
@@ -233,26 +248,28 @@ class _BlockCG:
         self.earliest = min(self.born, default=0)
         blocks = [np.empty((n, 0), dtype=dtype)] * 3
         if fresh:
-            x = np.stack([np.zeros(n, dtype=dtype) if s is None else s
-                          for _, _, s in fresh], axis=1)
-            b = np.stack([v for _, v, _ in fresh], axis=1)
+            x = _block([np.zeros(n, dtype=dtype) if s is None else s
+                        for _, _, s in fresh])
+            b = _block([v for _, v, _ in fresh])
             # r0 = b - A x0  (skip the SpMV for the common zero guess)
             r = b.astype(dtype, copy=False) if not x.any() \
                 else b - a.matmat(x)
             if self.deflator is not None:
-                x, r = (np.stack(v, axis=1) for v in zip(*(
+                x, r = (_block(v) for v in zip(*(
                     self.deflator.galerkin(_col(x, t), _col(r, t))
                     for t in range(x.shape[1]))))
             for (j, _, _), v in zip(fresh, _norms(r)):
                 self.histories[j].append(v)
             blocks = [x, r, np.zeros_like(x)]
         if saved:
-            blocks = [np.concatenate([blk] + [np.asarray(
-                getattr(s, f), dtype=dtype)[:, None] for _, _, s in saved],
-                axis=1) for blk, f in zip(blocks, "xrp")]
+            blocks = [_block([*blk.T] + [np.asarray(getattr(s, f), dtype=dtype)
+                                         for _, _, s in saved])
+                      for blk, f in zip(blocks, "xrp")]
         cols = [j for j, _, _ in fresh + saved]
         first = len(self.idx)
-        self.x, self.r, self.p = (np.concatenate([old, new], axis=1)
+        # Joined through the transposes: concatenating two one-column
+        # blocks side by side would give a C-ordered block.
+        self.x, self.r, self.p = (np.concatenate((old.T, new.T)).T
                                   if first else new for old, new in
                                   zip((self.x, self.r, self.p), blocks))
         self.idx += cols
@@ -376,7 +393,8 @@ class _BlockCG:
                     lanczos.vector(_col(z, t), v)
             if deflator is not None:
                 z = _per_column(deflator.project, z)
-            self.p = z + _times(beta, self.p)
+            # Column-major whatever layout the preconditioner returned.
+            self.p = np.add(z, _times(beta, self.p), order="F")
             # Each column's budget counts from its own start, so a block
             # that admits columns may run more sweeps than any budget.
             if k - self.earliest >= max_iters:

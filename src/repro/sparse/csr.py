@@ -189,37 +189,37 @@ class CSRMatrix:
     def _spmv(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """Row sums of ``data * x[indices]`` for a 1-D or ``(n, B)`` *x*.
 
-        One ``take`` gather, one in-place multiply and one
-        ``np.add.reduceat`` over the row offsets ``indptr[:-1]``.  Those
-        are valid ``reduceat`` offsets only when every row stores an
-        entry; the check runs on the first product and is kept (the
-        pattern is never mutated in place; only ``data`` is).  A matrix
-        with an empty row goes through :func:`~repro.util.segment_sum`,
-        whose masking keeps ``reduceat`` off empty segments.  Scratch is
-        allocated per call: cached matrices are shared across threads.
+        One path for both: a block is worked on as its transpose
+        ``xᵀ``, ``(B, n)``, so each right-hand side is one contiguous
+        row (``.T`` leaves a vector as it is).  One ``take`` gathers
+        along those rows, one in-place multiply by ``data`` runs along
+        them, and one ``np.add.reduceat`` over the row offsets
+        ``indptr[:-1]`` sums each matrix row of each right-hand side
+        with the pairwise additions of the 1-D call; the ``(B, n)``
+        sums come back as the column-major ``(n, B)`` block ``.T``.
+        The offsets are valid ``reduceat`` offsets only when every row
+        stores an entry; the check runs on the first product and is
+        kept (the pattern is never mutated in place; only ``data`` is).
+        A matrix with an empty row goes through
+        :func:`~repro.util.segment_sum`, whose masking keeps ``reduceat``
+        off empty segments.  Scratch is allocated per call: cached
+        matrices are shared across threads.
         """
-        column = x.ndim == 2 and x.shape[1] == 1
-        if column:
-            # One column runs the 1-D kernel: the same sums, without the
-            # 2-D gather and row reduction.
-            x = x[:, 0]
         if self._rows_nonempty is None:
             self._rows_nonempty = bool(self.n_rows) and bool(
                 (self.indptr[1:] > self.indptr[:-1]).all())
         dtype = np.result_type(self.data.dtype, x.dtype)
-        prod = x.take(self.indices, 0)
-        data = self.data if x.ndim == 1 else self.data[:, None]
-        prod = np.multiply(prod, data,
+        prod = x.T.take(self.indices, -1)
+        prod = np.multiply(prod, self.data,
                            out=prod if prod.dtype == dtype else None)
+        # float32 products are summed in float64, as segment_sum does.
+        acc = prod.astype(np.float64, copy=False)
         if self._rows_nonempty:
-            # float32 products are summed in float64, as segment_sum does.
-            y = np.add.reduceat(prod.astype(np.float64, copy=False),
-                                self.indptr[:-1], axis=0)
+            y = np.add.reduceat(acc, self.indptr[:-1], axis=-1)
         else:
-            y = segment_sum(prod, self.indptr[:-1], self.indptr[1:])
-        y = y.astype(dtype, copy=False)
-        if column:
-            y = y[:, None]
+            y = np.empty(acc.shape[:-1] + (self.n_rows,))
+            segment_sum(acc.T, self.indptr[:-1], self.indptr[1:], out=y.T)
+        y = y.astype(dtype, copy=False).T
         if out is None:
             return y
         out[...] = y
@@ -246,12 +246,14 @@ class CSRMatrix:
         """Sparse matrix–dense block product ``Y = A @ X``, ``X`` (n, B).
 
         The batched SpMV of the multi-RHS solver: one gather, multiply
-        and row reduction serve all ``B`` columns, whatever the memory
-        layout of ``X`` (the gather returns a C-ordered block).  Each
-        column of the result is bitwise identical to :meth:`matvec` on
-        that column alone (``reduceat`` runs the same additions down
-        every column), so block solves decompose exactly into
-        single-RHS ones.
+        and row reduction serve all ``B`` columns.  The kernel works on
+        ``Xᵀ`` with each right-hand side a contiguous row — free for a
+        column-major ``X``, one transposing copy for any other layout —
+        and returns the column-major ``(n, B)`` result.  Each column of
+        the result is bitwise identical to :meth:`matvec` on that
+        column alone (``reduceat`` sums each row of each right-hand
+        side with the 1-D call's pairwise additions), so block solves
+        decompose exactly into single-RHS ones.
         """
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[0] != self.n_cols:

@@ -160,7 +160,9 @@ class _Deflator:
 
     def __init__(self, a: CSRMatrix, w: np.ndarray):
         self.w = w
-        self.aw = a.matmat(np.ascontiguousarray(w))
+        # Kept C-ordered: the layout of a BLAS operand picks the kernel
+        # of each product with AW below, and so its rounding.
+        self.aw = np.ascontiguousarray(a.matmat(w))
         g = w.T @ self.aw
         # Symmetrize against rounding before factoring.
         self.chol = np.linalg.cholesky(0.5 * (g + g.T))

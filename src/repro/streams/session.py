@@ -316,17 +316,19 @@ class SolveSession:
                      recycle=self.recycle, device=self.device.name)
 
     # -- factor lifecycle ----------------------------------------------
-    def _pattern_positions(self, a: CSRMatrix,
-                           a_hat: CSRMatrix) -> np.ndarray:
+    @staticmethod
+    def _pattern_positions(a: CSRMatrix, a_hat: CSRMatrix) -> np.ndarray:
         """Positions in ``a.data`` of the entries ``Â`` kept — the map
-        a sparsify-refresh replays new values through."""
-        pos = np.empty(a_hat.nnz, dtype=np.int64)
-        for i in range(a.n_rows):
-            b0, b1 = a.indptr[i], a.indptr[i + 1]
-            h0, h1 = a_hat.indptr[i], a_hat.indptr[i + 1]
-            pos[h0:h1] = b0 + np.searchsorted(a.indices[b0:b1],
-                                              a_hat.indices[h0:h1])
-        return pos
+        a sparsify-refresh replays new values through.  One
+        ``searchsorted`` of the kept entries' row-major codes
+        ``row·n + col`` in those of every entry of *a*, which a
+        canonical CSR stores in ascending order."""
+        def codes(m: CSRMatrix) -> np.ndarray:
+            rows = np.repeat(np.arange(m.n_rows, dtype=np.int64),
+                             m.row_lengths())
+            return rows * a.n_cols + m.indices
+
+        return np.searchsorted(codes(a), codes(a_hat))
 
     def _build(self, a: CSRMatrix, *, refresh: bool) -> float:
         """(Re)build the preconditioner; returns modeled setup seconds.

@@ -1,9 +1,9 @@
 """Small numeric utilities shared across the package.
 
 These are the vectorized building blocks the rest of the library leans on:
-segmented reductions (the row sums of the SpMV kernel), geometric means,
-rank statistics, and dtype plumbing.  Everything here is pure
-NumPy and allocation-conscious: the hot paths accept preallocated outputs.
+segmented reductions (the row sums of the SpMV kernel), geometric means
+and rank statistics.  Everything here is pure NumPy and
+allocation-conscious: the hot paths accept preallocated outputs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ShapeError
 
 __all__ = [
-    "REAL_DTYPES",
     "segment_sum",
     "segment_starts_to_lengths",
     "gmean",
@@ -24,10 +23,6 @@ __all__ = [
     "pearson",
     "histogram_fixed",
 ]
-
-#: Floating dtypes the numeric kernels accept (the paper evaluates fp32;
-#: fp64 is the default for convergence studies).
-REAL_DTYPES = (np.float32, np.float64)
 
 
 def segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,

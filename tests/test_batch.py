@@ -20,9 +20,10 @@ from repro.harness import run_batch_scaling
 from repro.machine import (A100, EPYC_7413, iteration_cost, time_dot,
                            time_spmv, time_trisolve)
 from repro.obs import TraceRecorder, get_metrics, use_recorder
-from repro.precond import (IC0Preconditioner, ILU0Preconditioner,
-                           ILUKPreconditioner, ILUTPreconditioner,
-                           JacobiPreconditioner, SSORPreconditioner,
+from repro.precond import (FSAIPreconditioner, IC0Preconditioner,
+                           ILU0Preconditioner, ILUKPreconditioner,
+                           ILUTPreconditioner, JacobiPreconditioner,
+                           SPAIPreconditioner, SSORPreconditioner,
                            ScheduledTriangularSolver)
 from repro.solvers import StoppingCriterion, TerminationReason, pcg
 from repro.sparse import CSRMatrix, diags, stencil_poisson_2d
@@ -307,6 +308,128 @@ class TestBatchedApply:
         assert z.shape == r.shape
         for j in range(3):
             np.testing.assert_array_equal(z[:, j], m.apply(r[:, j]))
+
+
+def _bits(u: np.ndarray) -> np.ndarray:
+    """*u*'s bit patterns, so ``-0.0`` and ``0.0`` differ."""
+    return u.view(np.int64 if u.dtype == np.float64 else np.int32)
+
+
+def _laid_out(x: np.ndarray, layout: str) -> np.ndarray:
+    """*x* as a C-ordered, column-major or doubly strided block."""
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    big = np.zeros((2 * x.shape[0], 2 * x.shape[1] + 1), dtype=x.dtype)
+    big[::2, 1::2] = x
+    return big[::2, 1::2]
+
+
+class TestColumnMajorBlocks:
+    """Blocks are column-major from the SpMV through the CG kernel,
+    whatever layout they came in with, and no layout moves a bit."""
+
+    @given(st.integers(1, 30), st.integers(0, 8),
+           st.sampled_from([np.float32, np.float64]), st.booleans(),
+           st.floats(0.05, 0.9), st.integers(0, 2 ** 31))
+    @settings(max_examples=80, deadline=None)
+    def test_matmat_any_layout_bitwise_columns(self, n, width, dtype,
+                                               empty_rows, density, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((n, n))
+        dense[rng.random((n, n)) > density] = 0.0
+        if empty_rows:
+            dense[rng.random(n) < 0.3] = 0.0
+        a = CSRMatrix.from_dense(dense.astype(dtype))
+        x = rng.standard_normal((n, width)).astype(dtype)
+        # Zero operands make -0.0 products, which the bits compare.
+        x[rng.random((n, width)) < 0.2] = 0.0
+        want = [a.matvec(np.ascontiguousarray(x[:, j]))
+                for j in range(width)]
+        for layout in ("C", "F", "strided"):
+            y = a.matmat(_laid_out(x, layout))
+            assert y.shape == (n, width) and y.dtype == dtype
+            assert y.flags.f_contiguous
+            for j in range(width):
+                np.testing.assert_array_equal(_bits(y[:, j]),
+                                              _bits(want[j]))
+
+    @pytest.mark.parametrize("make", [
+        lambda a: ILU0Preconditioner(a),
+        lambda a: ILU0Preconditioner(a, engine="partitioned", n_parts=3),
+        lambda a: SSORPreconditioner(a, omega=1.3),
+        lambda a: IC0Preconditioner(a),
+        FSAIPreconditioner, SPAIPreconditioner, JacobiPreconditioner],
+        ids=["ilu0", "ilu0-partitioned", "ssor", "ic0", "fsai", "spai",
+             "jacobi"])
+    def test_preconditioner_apply_any_layout(self, make, make_rng):
+        a = stencil_poisson_2d(9)
+        m = make(a)
+        rng = make_rng(45)
+        for width in (1, 2, 8):
+            r = rng.standard_normal((a.n_rows, width))
+            want = [m.apply(np.ascontiguousarray(r[:, j]))
+                    for j in range(width)]
+            for layout in ("C", "F", "strided"):
+                z = m.apply(_laid_out(r, layout))
+                # The CG kernel's blocks come back in its own layout.
+                assert z.flags.f_contiguous or layout != "F"
+                for j in range(width):
+                    np.testing.assert_array_equal(_bits(z[:, j]),
+                                                  _bits(want[j]))
+
+    @pytest.mark.parametrize("c_ordered", [False, True])
+    def test_working_blocks_stay_column_major(self, poisson16, make_rng,
+                                              c_ordered):
+        """``x``, ``r`` and ``p`` are column-major after admission,
+        after a retire (down to one column), after mid-block joins (one
+        fresh column beside the last one; then a warm-started and a
+        resumed column) and at every boundary of the run that follows,
+        also when the preconditioner hands back C-ordered blocks."""
+        from repro.batch.block import CheckpointState
+        from repro.solvers.cg import _BlockCG
+
+        class COrdered(ILU0Preconditioner):
+            def apply(self, r, out=None):
+                return np.ascontiguousarray(super().apply(r, out))
+
+        a, n = poisson16, poisson16.n_rows
+        rng = make_rng(46)
+        crit = StoppingCriterion(rtol=1e-10, atol=0.0, max_iters=400)
+        m = (COrdered if c_ordered else ILU0Preconditioner)(a)
+        kern = _BlockCG(a, m, crit, np.dtype(float))
+
+        def column_major():
+            return all(u.flags.f_contiguous for u in (kern.x, kern.r,
+                                                      kern.p))
+
+        b = rng.standard_normal((n, 4))
+        kern.admit(1, [(b[:, j], None) for j in range(4)])
+        assert kern.x.shape == (n, 4) and column_major()
+        kern.retire([(t, TerminationReason.MAX_ITERATIONS)
+                     for t in (0, 2, 3)], 0)
+        assert kern.x.shape == (n, 1) and column_major()
+        saved = CheckpointState(
+            x=kern.x[:, 0].copy(), r=kern.r[:, 0].copy(),
+            p=kern.p[:, 0].copy(), rz=kern.rz[0], iters=0,
+            history=tuple(kern.histories[kern.idx[0]]))
+        kern.admit(1, [(rng.standard_normal(n), None)])
+        assert kern.x.shape == (n, 2) and column_major()
+        # The warm start is nearly exact, so that column retires first.
+        x_true = rng.standard_normal(n)
+        near = x_true + 1e-9 * rng.standard_normal(n)
+        kern.admit(1, [(a.matvec(x_true), near), (b[:, 1], saved)])
+        assert kern.x.shape == (n, 4) and column_major()
+        widths = []
+
+        def boundary(k):
+            if kern.idx:
+                widths.append(len(kern.idx))
+                assert column_major(), k
+
+        kern.run(boundary=boundary)
+        assert widths[0] == 4 and len(set(widths)) > 1
 
 
 class TestBatchedPricing:

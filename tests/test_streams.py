@@ -261,6 +261,24 @@ class TestStalenessDetector:
 # Krylov recycling.
 # ---------------------------------------------------------------------
 class TestRecycling:
+    def test_deflator_keeps_aw_c_ordered_and_bitwise(self, poisson16,
+                                                     make_rng):
+        """``AW`` stays C-ordered although the block SpMV returns
+        column-major blocks: its layout picks the BLAS kernel of every
+        product with it, so a layout change moves the deflated
+        iterates in the last digits.  Each column is ``A w_j``."""
+        from repro.streams.recycle import _Deflator
+
+        q, _ = np.linalg.qr(make_rng().standard_normal(
+            (poisson16.n_rows, 4)))
+        for w in (q, np.ascontiguousarray(q), np.asfortranarray(q)):
+            aw = _Deflator(poisson16, w).aw
+            assert aw.flags.c_contiguous
+            for j in range(w.shape[1]):
+                col = poisson16.matvec(np.ascontiguousarray(w[:, j]))
+                assert np.array_equal(aw[:, j].view(np.int64),
+                                      col.view(np.int64))
+
     def test_empty_basis_is_bitwise_pcg(self, poisson16, make_rng):
         b = make_rng().standard_normal(poisson16.n_rows)
         m = ILU0Preconditioner(poisson16)
@@ -444,6 +462,39 @@ class TestSolveSession:
             session.step(poisson16, np.zeros(5))
         with pytest.raises(ValueError):
             SolveSession(recycle=-1)
+
+    @pytest.mark.parametrize("name", ["heat", "thermal_900_s100",
+                                      "structural_2500_s104"])
+    def test_pattern_positions_match_per_row_search(self, name):
+        """The one global ``searchsorted`` finds the positions the
+        per-row search did, for Algorithm 2's kept pattern and for
+        entries ``A`` does not store (their insertion points)."""
+        from repro.core import wavefront_aware_sparsify
+        from repro.datasets import load
+        from repro.harness import build_heat_stream_operator
+        from repro.sparse import CSRMatrix
+
+        def per_row(a, a_hat):
+            pos = np.empty(a_hat.nnz, dtype=np.int64)
+            for i in range(a.n_rows):
+                b0, b1 = a.indptr[i], a.indptr[i + 1]
+                h0, h1 = a_hat.indptr[i], a_hat.indptr[i + 1]
+                pos[h0:h1] = b0 + np.searchsorted(a.indices[b0:b1],
+                                                  a_hat.indices[h0:h1])
+            return pos
+
+        a = (build_heat_stream_operator(50, 20.0) if name == "heat"
+             else load(name))
+        a_hat = wavefront_aware_sparsify(a).a_hat
+        pos = SolveSession._pattern_positions(a, a_hat)
+        assert np.array_equal(pos, per_row(a, a_hat))
+        assert np.array_equal(a.data[pos], a_hat.data)
+        # A dense pattern holds every stored entry and every hole.
+        n = min(a.n_rows, 60)
+        sub = CSRMatrix.from_dense(a.to_dense()[:n, :n])
+        full = CSRMatrix.from_dense(np.ones((n, n)))
+        assert np.array_equal(SolveSession._pattern_positions(sub, full),
+                              per_row(sub, full))
 
 
 # ---------------------------------------------------------------------

@@ -308,6 +308,28 @@ class TestEnginePlanning:
         assert plan.engine in ("levels", "partitioned")
         assert plan.speedup == plan.levels_seconds / plan.partitioned_seconds
 
+    @pytest.mark.parametrize("engine", ["auto", "partitioned"])
+    def test_winner_partitioned_once(self, monkeypatch, engine):
+        """The executor takes the partition the plan priced: ILU(0) of
+        ``thermal_900_s100`` partitions each factor once per candidate
+        width (4 + 4), and its two winners not again."""
+        import repro.precond.engine as engine_mod
+        import repro.precond.triangular as triangular_mod
+        from repro.datasets import load
+        from repro.precond import ILU0Preconditioner
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return partition_rows(*args, **kwargs)
+
+        for mod in (engine_mod, triangular_mod):
+            monkeypatch.setattr(mod, "partition_rows", counted)
+        m = ILU0Preconditioner(load("thermal_900_s100"), engine=engine)
+        assert m.engine == ("partitioned", "partitioned")
+        assert len(calls) == 8
+
     def test_invalid_engine(self):
         tri = chain_lower(16)
         with pytest.raises(ValueError):

@@ -44,7 +44,6 @@ Subpackages
 
 from .errors import (
     AbortSolve,
-    ConvergenceError,
     DatasetError,
     DeviceModelError,
     InvalidCriterionError,
@@ -137,7 +136,7 @@ __all__ = [
     # errors
     "ReproError", "ShapeError", "SparseFormatError", "NotTriangularError",
     "SingularFactorError", "NotSymmetricError", "NotPositiveDefiniteError",
-    "ConvergenceError", "MatrixMarketError", "DatasetError",
+    "MatrixMarketError", "DatasetError",
     "DeviceModelError", "InvalidCriterionError", "AbortSolve",
     "SuiteWorkerError", "ScheduleError",
     # sparse

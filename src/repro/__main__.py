@@ -271,7 +271,7 @@ def _cmd_fleet(args) -> int:
             from .perf import ArtifactCache
 
             fleet = FleetScheduler(
-                n_devices=n_dev, device=device, link=link,
+                n_devices=n_dev, device=device,
                 hot_threshold=args.hot_threshold,
                 cache=ArtifactCache(), preconditioner=args.precond,
                 k=args.k)

@@ -76,10 +76,3 @@ CATEGORIES: tuple[Category, ...] = (
              "Heat-conduction stencils with smoothly varying "
              "conductivity fields."),
 )
-
-_BY_KEY = {c.key: c for c in CATEGORIES}
-
-
-def get_category(key: str) -> Category:
-    """Look up a category by key."""
-    return _BY_KEY[key]

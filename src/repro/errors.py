@@ -16,7 +16,6 @@ __all__ = [
     "SingularFactorError",
     "NotSymmetricError",
     "NotPositiveDefiniteError",
-    "ConvergenceError",
     "MatrixMarketError",
     "DatasetError",
     "DeviceModelError",
@@ -81,11 +80,6 @@ class NotSymmetricError(ReproError, ValueError):
 class NotPositiveDefiniteError(ReproError, ArithmeticError):
     """An SPD-only routine detected an indefinite matrix (e.g. CG met
     a non-positive curvature direction)."""
-
-
-class ConvergenceError(ReproError, RuntimeError):
-    """An iterative method failed to converge and the caller asked for a
-    hard failure instead of a best-effort result."""
 
 
 class MatrixMarketError(ReproError, ValueError):

@@ -18,10 +18,9 @@ simulation out:
   devices: halo-exchange measurement and :func:`shard_comm_seconds`,
   the link seconds one sharded PCG iteration pays.
 * :mod:`repro.fleet.cost` — per-iteration fleet pricing of ``pcg``
-  versus the communication-reduced variants
-  (:func:`~repro.solvers.pipelined_cg`,
-  :func:`~repro.solvers.s_step_cg`), exposing exactly the
-  allreduce-on-the-critical-path seconds each variant removes.
+  versus the pipelined and s-step CG variants of arXiv 2501.03743,
+  exposing exactly the allreduce-on-the-critical-path seconds each
+  variant removes.
 
 Link costs come from :mod:`repro.machine.link` and are exactly zero at
 ``n_devices = 1`` — a one-device fleet prices bitwise like the PR-5

@@ -4,8 +4,11 @@ Distributed CG pays two bills the single-device roofline never sees:
 the **allreduce** behind every inner product and the **halo exchange**
 behind every sharded SpMV.  :func:`comm_iteration_cost` extends
 :func:`~repro.machine.kernels.iteration_cost` with those link
-terms for each solver variant, charging each its actual
-synchronization structure:
+terms for standard PCG and for the pipelined (Ghysels–Vanroose) and
+s-step variants of *Communication-reduced Conjugate Gradient Variants
+for GPU-accelerated Clusters* (arXiv 2501.03743).  The variants are
+priced, not run: the formulas charge each its synchronization
+structure:
 
 =============  ==============================  =========================
 variant        allreduces / iteration          overlap
@@ -34,7 +37,7 @@ from ..sparse.csr import CSRMatrix
 
 __all__ = ["VARIANTS", "CommIterationCost", "comm_iteration_cost"]
 
-#: Solver variants the fleet knows how to price and dispatch.
+#: Solver variants :func:`comm_iteration_cost` prices.
 VARIANTS = ("pcg", "pipelined", "s_step")
 
 #: Reduction scalars travel as float64 partial sums.

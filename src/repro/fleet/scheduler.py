@@ -27,7 +27,6 @@ import numpy as np
 from ..core.spcg import make_preconditioner
 from ..machine.device import A100, DeviceModel, get_device
 from ..machine.kernels import estimate_request_seconds
-from ..machine.link import LinkModel, NVLINK
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_recorder
 from ..perf.cache import ArtifactCache
@@ -57,10 +56,6 @@ class FleetScheduler:
         Fleet width.  ``1`` degenerates to a single server whose
         modeled outcomes are bitwise those of a bare
         :class:`ServeScheduler` fed the same submissions.
-    link:
-        :class:`~repro.machine.LinkModel` between devices — carried on
-        the report/benchmark side for the communication-reduced solver
-        pricing (routed requests themselves stay device-local).
     hot_threshold, virtual_nodes:
         Router knobs (see :class:`FleetRouter`).
     chaos:
@@ -71,7 +66,6 @@ class FleetScheduler:
 
     def __init__(self, *, n_devices: int = 1,
                  device: DeviceModel | str | None = None,
-                 link: LinkModel = NVLINK,
                  hot_threshold: int = 3, virtual_nodes: int = 64,
                  cache: ArtifactCache | None = None,
                  prior_iters: int = 100, chaos=None,
@@ -92,7 +86,6 @@ class FleetScheduler:
                     f"({n_devices}), got {len(chaos)}")
         self.n_devices = n_devices
         self.device = device
-        self.link = link
         self.cache = cache
         self.kind = device_kwargs.get("preconditioner", "ilu0")
         self.k = int(device_kwargs.get("k", 1))

@@ -9,7 +9,6 @@ termination reason, and per-iteration kernel counts for the machine model.
 from .result import SolveResult, TerminationReason
 from .stopping import StoppingCriterion
 from .cg import cg, pcg
-from .comm import pipelined_cg, s_step_cg
 
 __all__ = [
     "SolveResult",
@@ -17,6 +16,4 @@ __all__ = [
     "StoppingCriterion",
     "cg",
     "pcg",
-    "pipelined_cg",
-    "s_step_cg",
 ]

@@ -32,9 +32,7 @@ order), each column one contiguous right-hand side, as are the blocks
 the SpMV and the preconditioners return.  So every per-column inner
 product, norm and scaling reads a view with the BLAS call the 1-D solve
 makes, with no copy, and the block SpMV runs each right-hand side along
-contiguous memory.  The communication-reduced variants of
-:mod:`repro.solvers.comm` share the argument checks (:func:`_prepare`)
-and hand stalled solves to :func:`pcg`.
+contiguous memory.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from .coo import COOMatrix
 from .csr import CSRMatrix
 from .csc import CSCMatrix
 from .construct import (
-    csr_from_dense,
     diags,
     eye,
     kron,
@@ -54,7 +53,6 @@ __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "CSCMatrix",
-    "csr_from_dense",
     "diags",
     "eye",
     "kron",

@@ -16,7 +16,6 @@ from .coo import COOMatrix
 from .csr import CSRMatrix
 
 __all__ = [
-    "csr_from_dense",
     "eye",
     "diags",
     "kron",
@@ -25,11 +24,6 @@ __all__ = [
     "stencil_poisson_3d",
     "random_spd",
 ]
-
-
-def csr_from_dense(dense, *, dtype=None) -> CSRMatrix:
-    """Alias for :meth:`CSRMatrix.from_dense` (convenience re-export)."""
-    return CSRMatrix.from_dense(dense, dtype=dtype)
 
 
 def eye(n: int, *, dtype=np.float64) -> CSRMatrix:

@@ -170,6 +170,9 @@ class TestBlockMatchesSequential:
         with pytest.raises(ShapeError):
             pcg_block(poisson16, np.ones((poisson16.n_rows, 2)),
                       x0=np.ones(poisson16.n_rows))
+        with pytest.raises(ShapeError):
+            pcg_block(poisson16, np.ones((poisson16.n_rows, 2)),
+                      x0=np.zeros((poisson16.n_rows, 3)))
 
     def test_batched_metrics(self, poisson16, make_rng):
         b = make_rng(36).standard_normal((poisson16.n_rows, 4))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import (ConvergenceError, DatasetError, DeviceModelError,
+from repro.errors import (DatasetError, DeviceModelError,
                           FillLimitExceeded, MatrixMarketError,
                           NotPositiveDefiniteError, NotSymmetricError,
                           NotTriangularError, ReproError, ScheduleError,
@@ -56,7 +56,7 @@ class TestCSC:
 class TestErrorHierarchy:
     ALL = [ShapeError, SparseFormatError, NotTriangularError,
            ScheduleError, SingularFactorError, NotSymmetricError,
-           NotPositiveDefiniteError, ConvergenceError, MatrixMarketError,
+           NotPositiveDefiniteError, MatrixMarketError,
            DatasetError, DeviceModelError, FillLimitExceeded]
 
     def test_all_derive_from_repro_error(self):

@@ -11,7 +11,7 @@ from repro.core.spcg import make_preconditioner
 from repro.fleet import (FleetReport, FleetRouter, FleetScheduler,
                          comm_iteration_cost, fleet_mean_occupancy,
                          pooled_percentile, run_fleet_loadgen)
-from repro.machine import A100, IB_HDR, NVLINK, ZERO_LINK
+from repro.machine import A100, IB_HDR, NVLINK, ZERO_LINK, time_allreduce
 from repro.obs import TraceRecorder, use_recorder
 from repro.perf.cache import ArtifactCache
 from repro.resilience import FaultPlan
@@ -292,6 +292,32 @@ class TestCommIterationCost:
                     c = comm_iteration_cost(A100, link, n_dev, a, m,
                                             variant=variant, s=s)
                     assert c.exposed < base.exposed, (variant, s, n_dev)
+
+    @pytest.mark.parametrize("link", (NVLINK, IB_HDR),
+                             ids=("nvlink", "ib_hdr"))
+    def test_priced_allreduce_counts(self, system, link):
+        """The sync counts of arXiv 2501.03743, per iteration and per
+        right-hand-side column of 8-byte scalars: ``pcg`` three
+        reductions, pipelined one fused reduction of three scalars,
+        s-step one Gram reduction of the ``2s+1``-vector basis plus one
+        residual check per ``s`` iterations."""
+        a, m = system
+        for n_dev in (1, 2, 4, 8):
+            for batch in (1, 4):
+                def ar(n_bytes):
+                    return time_allreduce(link, n_dev, n_bytes)
+
+                def wire(variant, s=2):
+                    return comm_iteration_cost(
+                        A100, link, n_dev, a, m, batch=batch,
+                        variant=variant, s=s).allreduce
+
+                assert wire("pcg") == 3 * ar(8 * batch)
+                assert wire("pipelined") == ar(24 * batch)
+                for s in (1, 2, 4):
+                    gram = 2 * (2 * s + 1) ** 2 * 8 * batch
+                    assert wire("s_step", s) == \
+                        (ar(gram) + ar(8 * batch)) / s, (n_dev, batch, s)
 
     def test_single_device_no_link_terms(self, system):
         a, m = system

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.spcg import make_preconditioner
 from repro.errors import AbortSolve, InvalidRequestError, ShapeError
-from repro.precond import ILU0Preconditioner
+from repro.precond import ILU0Preconditioner, JacobiPreconditioner
 from repro.perf.fingerprint import (matrix_fingerprint,
                                     structure_fingerprint)
 from repro.solvers.cg import pcg
@@ -45,11 +45,24 @@ class TestNonFiniteX0Rejected:
     def test_pcg_block_rejects_nan_x0(self, poisson16, make_rng):
         from repro.batch import pcg_block
 
+        class CountingJacobi(JacobiPreconditioner):
+            applies = 0
+
+            def apply(self, r, out=None):
+                self.applies += 1
+                return super().apply(r, out)
+
+        m = CountingJacobi(poisson16)
         x0 = make_rng().standard_normal((poisson16.n_rows, 2))
         x0[5, 1] = np.nan
         b = make_rng(1).standard_normal((poisson16.n_rows, 2))
         with pytest.raises(InvalidRequestError):
-            pcg_block(poisson16, b, criterion=CRIT, x0=x0)
+            pcg_block(poisson16, b, m, criterion=CRIT, x0=x0)
+        # Rejected before any operator ran; a finite x0 does apply M.
+        assert m.applies == 0
+        x0[5, 1] = 0.0
+        pcg_block(poisson16, b, m, criterion=CRIT, x0=x0)
+        assert m.applies > 0
 
     def test_recycling_pcg_rejects_nan_x0(self, poisson16, make_rng):
         b = make_rng().standard_normal(poisson16.n_rows)

@@ -132,13 +132,8 @@ def _cmd_solve(args) -> int:
         return 0 if report.converged else 1
     with _tracing(args.trace):
         res = spcg(a, b, preconditioner=args.precond, k=args.k,
-                   tau=args.tau, omega=args.omega,
-                   engine=args.engine, precision=args.precision)
+                   tau=args.tau, omega=args.omega, precision=args.precision)
     extra = ""
-    if args.engine != "levels":
-        eng = getattr(res.preconditioner, "engine", None)
-        if eng is not None:
-            extra += f" engine={eng[0]}/{eng[1]}"
     if args.precision == "mixed":
         extra += (" fallback=yes" if res.solve.extra.get("mixed_fallback")
                   else " fallback=no")
@@ -469,11 +464,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=10.0)
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "levels", "partitioned"],
-                   help="SpTRSV executor: level-scheduled, partitioned "
-                        "(domain decomposition), or modeled-cost auto "
-                        "selection per factor")
     p.add_argument("--precision", default="float64",
                    choices=["float64", "mixed"],
                    help="'mixed' = float32 factors + float64 outer CG "

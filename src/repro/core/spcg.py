@@ -48,21 +48,16 @@ PRECISIONS = ("float64", "mixed")
 
 def _build_preconditioner(a: CSRMatrix, kind: str, *, k: int,
                           raise_on_zero_pivot: bool, pivot_boost: float,
-                          shift: float, engine: str = "levels",
-                          n_parts: int | None = None,
-                          device=None) -> Preconditioner:
+                          shift: float) -> Preconditioner:
     if kind == "ilu0":
         return ILU0Preconditioner(a, raise_on_zero_pivot=raise_on_zero_pivot,
-                                  pivot_boost=pivot_boost, engine=engine,
-                                  n_parts=n_parts, device=device)
+                                  pivot_boost=pivot_boost)
     if kind == "iluk":
         return ILUKPreconditioner(a, k=k,
                                   raise_on_zero_pivot=raise_on_zero_pivot,
-                                  pivot_boost=pivot_boost, engine=engine,
-                                  n_parts=n_parts, device=device)
+                                  pivot_boost=pivot_boost)
     if kind == "ic0":
-        return IC0Preconditioner(a, shift=shift, engine=engine,
-                                 n_parts=n_parts, device=device)
+        return IC0Preconditioner(a, shift=shift)
     if kind == "spai":
         # k doubles as the approximate-inverse pattern power (Aᵏ) —
         # the family's fill knob, mirroring ILU(K)'s level of fill.
@@ -77,9 +72,6 @@ def make_preconditioner(a: CSRMatrix, kind: str, *, k: int = 1,
                         pivot_boost: float = 1e-8,
                         shift: float = 0.0,
                         precision: str = "float64",
-                        engine: str = "levels",
-                        n_parts: int | None = None,
-                        device=None,
                         cache: ArtifactCache | bool | None = None
                         ) -> Preconditioner:
     """Factory for the preconditioners SPCG supports.
@@ -100,10 +92,7 @@ def make_preconditioner(a: CSRMatrix, kind: str, *, k: int = 1,
     ``precision="mixed"`` factorizes a float32 copy of ``a``, producing
     float32 triangular factors — half the value traffic on the dominant
     per-iteration kernel — while the outer CG keeps iterating in
-    float64 (upcast happens in ``apply``).  ``engine`` selects the
-    SpTRSV executor (``"levels"``, ``"partitioned"``, or modeled-cost
-    ``"auto"``; see :mod:`repro.precond.engine`), with ``n_parts`` and
-    ``device`` tuning the partitioned candidate.
+    float64 (upcast happens in ``apply``).
 
     Results are memoized in the solver-artifact cache under the matrix's
     content fingerprint plus every parameter above, so a grid search
@@ -128,8 +117,7 @@ def make_preconditioner(a: CSRMatrix, kind: str, *, k: int = 1,
         t0 = time.perf_counter()
         m = _build_preconditioner(
             a, kind, k=k, raise_on_zero_pivot=raise_on_zero_pivot,
-            pivot_boost=pivot_boost, shift=shift, engine=engine,
-            n_parts=n_parts, device=device)
+            pivot_boost=pivot_boost, shift=shift)
         wall = time.perf_counter() - t0
         get_metrics().observe_phase("factorization", wall)
         rec = get_recorder()
@@ -142,9 +130,7 @@ def make_preconditioner(a: CSRMatrix, kind: str, *, k: int = 1,
         return build()
     c = get_cache() if cache is None or cache is True else cache
     key = (matrix_fingerprint(a), kind, int(k), bool(raise_on_zero_pivot),
-           float(pivot_boost), float(shift), precision, engine,
-           0 if n_parts is None else int(n_parts),
-           "" if device is None else device.name)
+           float(pivot_boost), float(shift), precision)
     return c.get_or_compute("preconditioner", key, build)
 
 
@@ -193,9 +179,6 @@ def spcg(a: CSRMatrix, b: np.ndarray, *, preconditioner: str = "ilu0",
          raise_on_zero_pivot: bool = False,
          pivot_boost: float = 1e-8,
          precision: str = "float64",
-         engine: str = "levels",
-         n_parts: int | None = None,
-         device=None,
          fault_plan: "FaultPlan | None" = None,
          cache: ArtifactCache | bool | None = None) -> SPCGResult:
     """Solve ``A x = b`` with the sparsified preconditioned CG of Figure 2.
@@ -239,10 +222,6 @@ def spcg(a: CSRMatrix, b: np.ndarray, *, preconditioner: str = "ilu0",
         budget exhaustion), the solve transparently re-runs with full
         float64 factors warm-started from the best iterate, recorded in
         ``result.solve.extra["mixed_fallback"]``.
-    engine, n_parts, device:
-        SpTRSV executor selection forwarded to
-        :func:`make_preconditioner` (``"levels"``, ``"partitioned"``,
-        ``"auto"`` — see :mod:`repro.precond.engine`).
     fault_plan:
         Optional :class:`repro.resilience.FaultPlan`; when given, its
         matrix faults corrupt ``Â`` before factorization and its apply
@@ -278,8 +257,7 @@ def spcg(a: CSRMatrix, b: np.ndarray, *, preconditioner: str = "ilu0",
         m = make_preconditioner(a_hat, preconditioner, k=k,
                                 raise_on_zero_pivot=raise_on_zero_pivot,
                                 pivot_boost=pivot_boost, precision=precision,
-                                engine=engine, n_parts=n_parts,
-                                device=device, cache=cache)
+                                cache=cache)
         return m if fault_plan is None else fault_plan.wrap(m, "spcg")
 
     m = build(precision)

@@ -22,6 +22,7 @@ from .levels import (
 )
 from .partition import (
     RowPartition,
+    level_profile,
     partition_profiles,
     partition_rows,
     split_partition,
@@ -39,6 +40,7 @@ __all__ = [
     "RowPartition",
     "partition_rows",
     "partition_profiles",
+    "level_profile",
     "split_partition",
     "WavefrontStats",
     "wavefront_stats",

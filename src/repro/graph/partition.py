@@ -1,5 +1,5 @@
-"""Fenced row partitioning of a triangular factor — the inspector half
-of the domain-decomposition SpTRSV executor.
+"""Fenced row partitioning of a triangular factor — the inspector of
+the domain-decomposition SpTRSV that the cost model prices.
 
 Level scheduling is one point in the SpTRSV design space: it exposes
 maximal row parallelism at the price of one device-wide barrier per
@@ -20,6 +20,11 @@ whenever any entry of *tri* couples them).  That condensed schedule is
 computed by running the existing :func:`~repro.graph.levels.level_schedule`
 machinery on a P×P matrix with one nonzero per coupled partition pair —
 the dependence-DAG inspector reused one level up.
+
+No executor runs the partitioned solve.
+:func:`repro.precond.engine.plan_trisolve` prices it on a device model
+from :func:`partition_rows` and :func:`partition_profiles`, through
+:func:`repro.machine.kernels.time_trisolve_partitioned`.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "partition_rows",
     "split_partition",
     "partition_profiles",
+    "level_profile",
 ]
 
 
@@ -87,10 +93,6 @@ class RowPartition:
     def rows_of(self, p: int) -> tuple[int, int]:
         """Half-open row range ``[lo, hi)`` of partition *p*."""
         return int(self.fences[p]), int(self.fences[p + 1])
-
-    def part_of(self, row_ids: np.ndarray) -> np.ndarray:
-        """Partition index of each row in *row_ids*."""
-        return np.searchsorted(self.fences, row_ids, side="right") - 1
 
 
 def _balanced_fences(tri: CSRMatrix, n_parts: int) -> np.ndarray:
@@ -204,28 +206,30 @@ def split_partition(tri: CSRMatrix, part: RowPartition
     return subs, coupling
 
 
+def level_profile(tri: CSRMatrix, kind: str
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-wavefront ``(rows, nnz)`` of the level-scheduled solve of *tri*.
+
+    Pattern-only: level-schedules *tri* and counts its off-diagonal
+    entries per wavefront (plus one diagonal op per row), which is what
+    :meth:`~repro.precond.triangular.ScheduledTriangularSolver.kernel_profile`
+    reports for it without building the executor.
+    """
+    n = tri.n_rows
+    sched = level_schedule(tri, kind=kind)
+    rid = np.repeat(np.arange(n, dtype=np.int64), tri.row_lengths())
+    off = tri.indices < rid if kind == "lower" else tri.indices > rid
+    off_per_row = np.bincount(rid[off], minlength=n)
+    cum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(off_per_row[sched.rows], out=cum[1:])
+    rows_per_level = np.diff(sched.level_ptr)
+    nnz_off = np.diff(cum[sched.level_ptr])
+    return rows_per_level, nnz_off + rows_per_level
+
+
 def partition_profiles(tri: CSRMatrix, part: RowPartition
                        ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-partition ``(rows_per_level, nnz_per_level)`` kernel profiles.
-
-    Pattern-only: level-schedules each diagonal sub-triangle and counts
-    its off-diagonal entries per wavefront (plus one diagonal op per
-    row, matching
-    :meth:`~repro.precond.triangular.ScheduledTriangularSolver.kernel_profile`).
-    Used by the cost-model planner without constructing executors.
-    """
+    """Per-partition :func:`level_profile` of each diagonal sub-triangle,
+    the kernel profiles the cost-model planner prices."""
     subs, _ = split_partition(tri, part)
-    profiles = []
-    for sub in subs:
-        m = sub.n_rows
-        sched = level_schedule(sub, kind=part.kind)
-        srid = np.repeat(np.arange(m, dtype=np.int64), sub.row_lengths())
-        off = sub.indices < srid if part.kind == "lower" \
-            else sub.indices > srid
-        off_per_row = np.bincount(srid[off], minlength=m)
-        cum = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(off_per_row[sched.rows], out=cum[1:])
-        rows_per_level = np.diff(sched.level_ptr)
-        nnz_off = np.diff(cum[sched.level_ptr])
-        profiles.append((rows_per_level, nnz_off + rows_per_level))
-    return profiles
+    return [level_profile(sub, part.kind) for sub in subs]

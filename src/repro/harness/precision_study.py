@@ -78,7 +78,6 @@ class PrecisionStudyResult:
 
 def run_precision_study(a: CSRMatrix, *, name: str = "matrix",
                         preconditioner: str = "ilu0", k: int = 1,
-                        engine: str = "levels",
                         device: DeviceModel | str | None = None,
                         criterion: StoppingCriterion | None = None,
                         seed: int = 0) -> PrecisionStudyResult:
@@ -97,8 +96,7 @@ def run_precision_study(a: CSRMatrix, *, name: str = "matrix",
     points = {}
     for precision in ("float64", "mixed"):
         res = spcg(a, b, preconditioner=preconditioner, k=k,
-                   criterion=criterion, precision=precision,
-                   engine=engine, device=device)
+                   criterion=criterion, precision=precision)
         traffic = iteration_value_traffic(device, a, res.preconditioner)
         points[precision] = PrecisionPoint(
             precision=precision,

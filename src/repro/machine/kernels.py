@@ -163,13 +163,14 @@ def time_trisolve_partitioned(dev: DeviceModel,
                               depth: np.ndarray,
                               coupling_rows: int,
                               coupling_nnz: int, *,
-                              batch: int = 1,
-                              internal_sync_fraction: float = 0.15,
-                              value_bytes: int | None = None) -> float:
-    """Domain-decomposition triangular solve (partitioned SpTRSV).
+                              internal_sync_fraction: float = 0.15
+                              ) -> float:
+    """Domain-decomposition triangular solve (partitioned SpTRSV,
+    arXiv 2508.04917), priced for one right-hand side.
 
-    Execution shape priced here (mirrors
-    :class:`repro.precond.triangular.PartitionedTriangularSolver`):
+    Nothing runs this engine: :func:`repro.precond.engine.plan_trisolve`
+    prices it against :func:`time_trisolve` from the partition
+    inspector's output.  The execution shape priced here:
 
     * **Round 0** — all ``P`` diagonal sub-triangles solve concurrently,
       one per thread block.  A round costs one launch plus the *longest*
@@ -196,16 +197,15 @@ def time_trisolve_partitioned(dev: DeviceModel,
     ----------
     profiles:
         Per-partition ``(rows_per_level, nnz_per_level)`` tuples
-        (:meth:`~repro.precond.triangular.PartitionedTriangularSolver.cost_args`).
+        (:func:`~repro.graph.partition.partition_profiles`).
     depth:
         Per-partition correction depth from the condensed partition DAG.
     coupling_rows, coupling_nnz:
         Rows / nonzeros of the cross-partition coupling block.
     """
-    batch = _check_batch(batch)
     if not (0.0 <= internal_sync_fraction <= 1.0):
         raise ValueError("internal_sync_fraction must lie in [0, 1]")
-    vb = dev.value_bytes if value_bytes is None else int(value_bytes)
+    vb = dev.value_bytes
     depth = np.asarray(depth, dtype=np.int64)
     n_parts = len(profiles)
     if n_parts == 0:
@@ -222,10 +222,10 @@ def time_trisolve_partitioned(dev: DeviceModel,
         n_levels = rows.shape[0]
         if n_levels == 0:
             continue
-        flops = 2.0 * nnz * batch
-        bytes_ = (nnz * (vb * batch + dev.index_bytes)
-                  + rows * (2 * vb * batch + dev.index_bytes))
-        body = _level_bodies(dev, rows * batch, flops, bytes_,
+        flops = 2.0 * nnz
+        bytes_ = (nnz * (vb + dev.index_bytes)
+                  + rows * (2 * vb + dev.index_bytes))
+        body = _level_bodies(dev, rows, flops, bytes_,
                              dev.min_kernel_time * isf)
         chain[i] = (body.sum()
                     + max(0, n_levels - 1) * dev.sync_overhead * isf)
@@ -242,8 +242,7 @@ def time_trisolve_partitioned(dev: DeviceModel,
     total = round_time(np.ones(n_parts, dtype=bool))
     n_sweeps = int(depth.max(initial=0))
     if n_sweeps:
-        spmv = time_spmv(dev, max(1, coupling_rows), coupling_nnz, batch,
-                         value_bytes=vb)
+        spmv = time_spmv(dev, max(1, coupling_rows), coupling_nnz)
         for s in range(1, n_sweeps + 1):
             total += (2.0 * dev.sync_overhead + spmv
                       + round_time(depth >= s))
@@ -421,20 +420,6 @@ class IterationCost:
         return self.precond_fwd + self.precond_bwd
 
 
-def _time_precond_sweep(dev: DeviceModel, solver, batch: int = 1) -> float:
-    """Price one triangular sweep, dispatching on the executor engine.
-
-    A solver exposing ``cost_args`` (the partitioned executor) is priced
-    by :func:`time_trisolve_partitioned`; otherwise the level-scheduled
-    rule :func:`time_trisolve` applies.
-    """
-    cost_args = getattr(solver, "cost_args", None)
-    if cost_args is not None:
-        return time_trisolve_partitioned(dev, batch=batch, **cost_args())
-    rows, nnz = solver.kernel_profile()
-    return time_trisolve(dev, rows, nnz, batch)
-
-
 def _precond_spmv_times(dev: DeviceModel, preconditioner: Preconditioner,
                         batch: int = 1) -> tuple[float, float] | None:
     """Price a barrier-free SpMV-apply preconditioner (SPAI/FSAI).
@@ -465,11 +450,10 @@ def iteration_cost(dev: DeviceModel, a: CSRMatrix,
     Uses the preconditioner's wavefront solvers when it exposes them
     (ILU0/ILUK/IC0/SSOR); approximate-inverse preconditioners exposing
     ``spmv_profile()`` (SPAI/FSAI) are priced as barrier-free SpMVs;
-    diagonal preconditioners are priced as one vector op.
-    Partitioned-engine solvers are priced by their own rule (see
-    :func:`_time_precond_sweep`).  Every kernel pays its launches and
-    synchronizations once per sweep, so ``iteration_cost(B).total / B``
-    against the ``B = 1`` cost isolates the batching amortization.
+    diagonal preconditioners are priced as one vector op.  Every kernel
+    pays its launches and synchronizations once per sweep, so
+    ``iteration_cost(B).total / B`` against the ``B = 1`` cost isolates
+    the batching amortization.
     """
     batch = _check_batch(batch)
     n = a.n_rows
@@ -480,8 +464,8 @@ def iteration_cost(dev: DeviceModel, a: CSRMatrix,
         t_fwd, t_bwd = ainv
     elif solvers is not None:
         fwd, bwd = solvers()
-        t_fwd = _time_precond_sweep(dev, fwd, batch)
-        t_bwd = _time_precond_sweep(dev, bwd, batch)
+        t_fwd = time_trisolve(dev, *fwd.kernel_profile(), batch)
+        t_bwd = time_trisolve(dev, *bwd.kernel_profile(), batch)
     else:
         t_fwd = (time_axpy(dev, n, batch)
                  if preconditioner.apply_nnz() else 0.0)

@@ -5,7 +5,8 @@ Implements the preconditioning stack of the paper from scratch:
 * :mod:`~repro.precond.triangular` — forward/backward substitution, both a
   sequential reference and the wavefront (level-scheduled) executor whose
   per-level segmented kernel mirrors one GPU kernel launch per wavefront;
-* :mod:`~repro.precond.engine` — the executor choice per factor and
+* :mod:`~repro.precond.engine` — the modeled price of level-scheduled
+  against partitioned SpTRSV per factor (priced, not run), and
   :class:`~repro.precond.engine.TriangularPreconditioner`, the one
   forward-sweep / backward-sweep application ILU(0), ILU(K), ILUT, IC(0)
   and SSOR share (each of them only computes its factors);
@@ -31,18 +32,11 @@ from .identity import IdentityPreconditioner
 from .jacobi import JacobiPreconditioner
 from .ssor import SSORPreconditioner
 from .triangular import (
-    PartitionedTriangularSolver,
     ScheduledTriangularSolver,
     solve_lower_sequential,
     solve_upper_sequential,
 )
-from .engine import (
-    ENGINES,
-    TriangularPreconditioner,
-    TrisolvePlan,
-    make_triangular_solver,
-    plan_trisolve,
-)
+from .engine import TriangularPreconditioner, TrisolvePlan, plan_trisolve
 from .ilu0 import ILUFactors, ilu0, ILU0Preconditioner
 from .iluk import iluk, iluk_symbolic, ILUKPreconditioner
 from .ic0 import ic0, IC0Preconditioner
@@ -57,11 +51,8 @@ __all__ = [
     "JacobiPreconditioner",
     "SSORPreconditioner",
     "ScheduledTriangularSolver",
-    "PartitionedTriangularSolver",
-    "ENGINES",
     "TriangularPreconditioner",
     "TrisolvePlan",
-    "make_triangular_solver",
     "plan_trisolve",
     "solve_lower_sequential",
     "solve_upper_sequential",

@@ -1,53 +1,46 @@
-"""Triangular-solve engine selection and the two-sweep preconditioner.
+"""SpTRSV engine pricing and the two-sweep preconditioner.
 
-The repo carries two SpTRSV executors occupying different points in
-the sync/parallelism design space:
+Two SpTRSV strategies occupy different points in the
+sync/parallelism design space:
 
-* :class:`~repro.precond.triangular.ScheduledTriangularSolver` — maximal
-  row parallelism, one device barrier per wavefront;
-* :class:`~repro.precond.triangular.PartitionedTriangularSolver` —
-  ``P`` fenced sub-triangles with block-local syncs plus a Jacobi
-  correction loop, two device barriers per sweep.
+* level scheduling — maximal row parallelism, one device barrier per
+  wavefront; :class:`~repro.precond.triangular.ScheduledTriangularSolver`
+  runs it, and it is the one executor every solve uses;
+* fine-grained domain decomposition (arXiv 2508.04917) — ``P`` fenced
+  sub-triangles with block-local syncs plus a Jacobi correction loop,
+  two device barriers per sweep.
 
-Which wins is a property of the *factor*: deep narrow wavefront chains
-(band-limited factors, the regime sparsification helps least) favour
-partitioning, shallow wide ones favour level scheduling.  The planner
-here prices both on the modeled device — the same cost model the rest
-of the pipeline reports — and ``engine="auto"`` picks the cheaper one
-per factor.  A plan is priced afresh for every solver built; the
-preconditioner cache of :func:`repro.core.make_preconditioner` is what
-holds the pricing to once per ``(Â, params)``.
+Which wins on a device is a property of the *factor*: deep narrow
+wavefront chains (band-limited factors, the regime sparsification
+helps least) favour partitioning, shallow wide ones favour level
+scheduling.  :func:`plan_trisolve` prices both on the modeled device —
+the same cost model the rest of the pipeline reports — and records the
+pick.  The partitioned engine is priced, not run: on a host its
+partitions run one after another, and every dependence path crosses
+the fences in row order, so its first round alone runs at least as many
+level steps as the level sweep.
 
 :class:`TriangularPreconditioner` is the one application every
 triangular preconditioner shares — ILU(0), ILU(K), ILUT, IC(0) and
 SSOR differ only in the factors they compute: a forward sweep, an
-optional diagonal scale and a backward sweep, both built by
-:func:`make_triangular_solver`.
+optional diagonal scale and a backward sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
-from ..graph.levels import LevelSchedule, level_schedule
-from ..graph.partition import (RowPartition, partition_profiles,
+from ..graph.levels import LevelSchedule
+from ..graph.partition import (level_profile, partition_profiles,
                                partition_rows)
 from .base import Preconditioner
-from .triangular import (
-    PartitionedTriangularSolver,
-    ScheduledTriangularSolver,
-    _PIVOT_RTOL,
-)
+from .triangular import ScheduledTriangularSolver
 
-__all__ = ["ENGINES", "PART_CANDIDATES", "TrisolvePlan", "plan_trisolve",
-           "make_triangular_solver", "TriangularPreconditioner"]
-
-#: Accepted values of the ``engine`` knob everywhere it appears
-#: (preconditioner constructors, ``spcg``, the CLI).
-ENGINES = ("auto", "levels", "partitioned")
+__all__ = ["PART_CANDIDATES", "TrisolvePlan", "plan_trisolve",
+           "TriangularPreconditioner"]
 
 #: Partition counts the auto planner prices (clamped to the matrix
 #: order).  Powers of two spanning one to a few thread blocks per SM's
@@ -62,21 +55,15 @@ class TrisolvePlan:
     Attributes
     ----------
     engine:
-        The chosen executor, ``"levels"`` or ``"partitioned"`` (never
-        ``"auto"`` — the plan *is* the resolution of auto).
+        The engine the device model picks, ``"levels"`` or
+        ``"partitioned"``: the cheaper of the two modeled costs.
     n_parts:
-        Partition count of the winning (or best) partitioned candidate;
-        meaningful even when levels wins, so callers forcing
-        ``engine="partitioned"`` reuse the tuned ``P``.
+        Partition count of the best partitioned candidate; meaningful
+        even when levels wins.
     levels_seconds, partitioned_seconds:
         Modeled seconds of one solve under each engine on *device*.
     device:
         Name of the device the plan was priced on.
-    partition:
-        The best partitioned candidate's inspector result, which
-        :func:`make_triangular_solver` hands to the partitioned executor
-        so the winner is not partitioned twice (``None`` when no
-        candidate priced finite).
     """
 
     engine: str
@@ -84,8 +71,6 @@ class TrisolvePlan:
     levels_seconds: float
     partitioned_seconds: float
     device: str
-    partition: RowPartition | None = field(default=None, repr=False,
-                                           compare=False)
 
     @property
     def speedup(self) -> float:
@@ -95,50 +80,27 @@ class TrisolvePlan:
         return self.levels_seconds / self.partitioned_seconds
 
 
-def _levels_profile(tri: CSRMatrix, sched: LevelSchedule, kind: str
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-wavefront ``(rows, nnz)`` of the level-scheduled executor,
-    computed from the schedule alone (pattern-only — no executor)."""
-    n = tri.n_rows
-    rid = np.repeat(np.arange(n, dtype=np.int64), tri.row_lengths())
-    off = tri.indices < rid if kind == "lower" else tri.indices > rid
-    off_per_row = np.bincount(rid[off], minlength=n)
-    cum = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(off_per_row[sched.rows], out=cum[1:])
-    rows_per_level = np.diff(sched.level_ptr)
-    nnz_off = np.diff(cum[sched.level_ptr])
-    return rows_per_level, nnz_off + rows_per_level
-
-
 def plan_trisolve(tri: CSRMatrix, *, kind: str = "lower",
-                  engine: str = "auto", n_parts: int | None = None,
-                  device=None,
-                  schedule: LevelSchedule | None = None) -> TrisolvePlan:
-    """Price both SpTRSV engines for *tri* and resolve the choice.
+                  n_parts: int | None = None, device=None) -> TrisolvePlan:
+    """Price both SpTRSV engines for *tri* and pick the cheaper.
 
-    ``engine="levels"``/``"partitioned"`` force the outcome but still
-    record both modeled costs (the CI smoke job asserts on the gap);
-    ``"auto"`` picks the cheaper.  ``n_parts=None`` sweeps
-    :data:`PART_CANDIDATES` and keeps the best partitioned candidate.
+    Both modeled costs are recorded (the CI smoke job asserts on the
+    gap).  ``n_parts=None`` sweeps :data:`PART_CANDIDATES` and keeps
+    the best partitioned candidate; an integer prices that width alone.
     The plan depends only on the sparsity pattern and the device.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     # Machine imports are lazy: machine.kernels imports precond.base at
     # module scope, so a top-level import here would be cyclic.
     from ..machine.device import A100
     from ..machine.kernels import time_trisolve, time_trisolve_partitioned
 
     dev = A100 if device is None else device
-    sched = schedule if schedule is not None else level_schedule(tri,
-                                                                 kind=kind)
-    rows_pl, nnz_pl = _levels_profile(tri, sched, kind)
-    t_levels = time_trisolve(dev, rows_pl, nnz_pl)
+    t_levels = time_trisolve(dev, *level_profile(tri, kind))
 
     n = tri.n_rows
     candidates = ([int(n_parts)] if n_parts is not None
                   else [p for p in PART_CANDIDATES if p <= n] or [1])
-    best_p, best_part, best_t = candidates[0], None, np.inf
+    best_p, best_t = candidates[0], np.inf
     for p in candidates:
         part = partition_rows(tri, p, kind=kind)
         profs = partition_profiles(tri, part)
@@ -146,49 +108,11 @@ def plan_trisolve(tri: CSRMatrix, *, kind: str = "lower",
                                       part.coupling_rows,
                                       part.coupling_nnz)
         if t < best_t:
-            best_p, best_part, best_t = part.n_parts, part, t
-    chosen = engine
-    if engine == "auto":
-        chosen = "partitioned" if best_t < t_levels else "levels"
-    return TrisolvePlan(engine=chosen, n_parts=best_p,
-                        levels_seconds=float(t_levels),
-                        partitioned_seconds=float(best_t),
-                        device=dev.name, partition=best_part)
-
-
-def make_triangular_solver(tri: CSRMatrix, *, kind: str = "lower",
-                           unit_diagonal: bool = False,
-                           engine: str = "auto",
-                           n_parts: int | None = None,
-                           device=None,
-                           schedule: LevelSchedule | None = None,
-                           pivot_rtol: float | None = _PIVOT_RTOL):
-    """Build the SpTRSV executor *plan_trisolve* selects for *tri*.
-
-    The one constructor the preconditioners call: resolves ``engine``
-    (pricing both candidates unless it is ``"levels"``), then builds a
-    :class:`ScheduledTriangularSolver` or
-    :class:`PartitionedTriangularSolver` accordingly, the latter on the
-    partition the plan priced.  *schedule* short-circuits the
-    level-scheduling inspector.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    plan = None
-    if engine != "levels":
-        plan = plan_trisolve(tri, kind=kind, engine=engine,
-                             n_parts=n_parts, device=device,
-                             schedule=schedule)
-    if plan is None or plan.engine == "levels":
-        return ScheduledTriangularSolver(tri, kind=kind,
-                                         unit_diagonal=unit_diagonal,
-                                         schedule=schedule,
-                                         pivot_rtol=pivot_rtol)
-    return PartitionedTriangularSolver(tri, kind=kind,
-                                       unit_diagonal=unit_diagonal,
-                                       n_parts=plan.n_parts,
-                                       partition=plan.partition,
-                                       pivot_rtol=pivot_rtol)
+            best_p, best_t = part.n_parts, t
+    return TrisolvePlan(
+        engine="partitioned" if best_t < t_levels else "levels",
+        n_parts=best_p, levels_seconds=float(t_levels),
+        partitioned_seconds=float(best_t), device=dev.name)
 
 
 class TriangularPreconditioner(Preconditioner):
@@ -214,9 +138,6 @@ class TriangularPreconditioner(Preconditioner):
         FLOPs of the numeric factorization, which
         :func:`repro.machine.kernels.time_precond_setup` prices as one;
         ``None`` when nothing is factored.
-    engine, n_parts, device:
-        SpTRSV executor selection, per factor, as for
-        :func:`make_triangular_solver`.
     """
 
     def __init__(self, lower: CSRMatrix, upper: CSRMatrix, *,
@@ -224,22 +145,16 @@ class TriangularPreconditioner(Preconditioner):
                  scale: np.ndarray | None = None,
                  lower_schedule: LevelSchedule | None = None,
                  upper_schedule: LevelSchedule | None = None,
-                 factor_flops: float | None = None,
-                 engine: str = "levels", n_parts: int | None = None,
-                 device=None):
+                 factor_flops: float | None = None):
         self.lower, self.upper = lower, upper
         self.unit_lower = bool(unit_lower)
         self.scale = scale
         self.factor_flops = factor_flops
-        self._fwd = make_triangular_solver(
+        self._fwd = ScheduledTriangularSolver(
             lower, kind="lower", unit_diagonal=self.unit_lower,
-            engine=engine, n_parts=n_parts, device=device,
             schedule=lower_schedule)
-        self._bwd = make_triangular_solver(
-            upper, kind="upper", engine=engine, n_parts=n_parts,
-            device=device, schedule=upper_schedule)
-        #: Engines the (forward, backward) sweeps resolved to.
-        self.engine = (self._fwd.engine, self._bwd.engine)
+        self._bwd = ScheduledTriangularSolver(upper, kind="upper",
+                                              schedule=upper_schedule)
 
     @property
     def n(self) -> int:

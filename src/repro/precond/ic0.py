@@ -112,10 +112,7 @@ class IC0Preconditioner(TriangularPreconditioner):
 
     name = "ic0"
 
-    def __init__(self, a: CSRMatrix, *, shift: float = 0.0,
-                 engine: str = "levels", n_parts: int | None = None,
-                 device=None):
+    def __init__(self, a: CSRMatrix, *, shift: float = 0.0):
         self.factor = ic0(a, shift=shift)
         super().__init__(self.factor, self.factor.transpose(),
-                         factor_flops=0.0, engine=engine, n_parts=n_parts,
-                         device=device)
+                         factor_flops=0.0)

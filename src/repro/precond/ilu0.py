@@ -236,13 +236,6 @@ class ILU0Preconditioner(TriangularPreconditioner):
         Optionally reuse precomputed :class:`ILUFactors`.
     raise_on_zero_pivot, pivot_boost:
         Zero-pivot policy, as for :func:`ilu0`.
-    engine:
-        SpTRSV executor: ``"levels"`` (default, the original wavefront
-        executor), ``"partitioned"``, or ``"auto"`` (modeled-cost
-        selection per factor via
-        :func:`~repro.precond.engine.make_triangular_solver`).
-    n_parts, device:
-        Partition count / cost-model device for the non-default engines.
     """
 
     name = "ilu0"
@@ -250,9 +243,7 @@ class ILU0Preconditioner(TriangularPreconditioner):
     def __init__(self, a: CSRMatrix | None = None, *,
                  factors: ILUFactors | None = None,
                  raise_on_zero_pivot: bool = True,
-                 pivot_boost: float = 1e-8,
-                 engine: str = "levels", n_parts: int | None = None,
-                 device=None):
+                 pivot_boost: float = 1e-8):
         if factors is None:
             if a is None:
                 raise ValueError("provide either a matrix or factors")
@@ -262,8 +253,7 @@ class ILU0Preconditioner(TriangularPreconditioner):
         super().__init__(factors.lower, factors.upper, unit_lower=True,
                          lower_schedule=factors.lower_schedule,
                          upper_schedule=factors.upper_schedule,
-                         factor_flops=factors.factor_flops,
-                         engine=engine, n_parts=n_parts, device=device)
+                         factor_flops=factors.factor_flops)
 
     # perfbench's span tracer wraps this class's own ``apply`` entry.
     apply = TriangularPreconditioner.apply

@@ -194,7 +194,7 @@ class ILUKPreconditioner(TriangularPreconditioner):
         System matrix (ignored when *factors* given).
     k:
         Level-of-fill bound.
-    factors, raise_on_zero_pivot, pivot_boost, engine, n_parts, device:
+    factors, raise_on_zero_pivot, pivot_boost:
         As for :class:`~repro.precond.ilu0.ILU0Preconditioner`.
     """
 
@@ -203,9 +203,7 @@ class ILUKPreconditioner(TriangularPreconditioner):
     def __init__(self, a: CSRMatrix | None = None, k: int = 1, *,
                  factors: ILUFactors | None = None,
                  raise_on_zero_pivot: bool = True,
-                 pivot_boost: float = 1e-8,
-                 engine: str = "levels", n_parts: int | None = None,
-                 device=None):
+                 pivot_boost: float = 1e-8):
         if factors is None:
             if a is None:
                 raise ValueError("provide either a matrix or factors")
@@ -216,5 +214,4 @@ class ILUKPreconditioner(TriangularPreconditioner):
         super().__init__(factors.lower, factors.upper, unit_lower=True,
                          lower_schedule=factors.lower_schedule,
                          upper_schedule=factors.upper_schedule,
-                         factor_flops=factors.factor_flops,
-                         engine=engine, n_parts=n_parts, device=device)
+                         factor_flops=factors.factor_flops)

@@ -1,6 +1,6 @@
 """Preconditioner auto-selection: sparsified-ILU vs approximate inverse.
 
-:func:`repro.precond.engine.plan_trisolve` picks the cheaper *executor*
+:func:`repro.precond.engine.plan_trisolve` prices two SpTRSV engines
 for a fixed factor; this module lifts the same idea one level up and
 picks the cheaper *preconditioner family* for a matrix.  The two
 families trade against each other exactly the way the paper's
@@ -20,9 +20,11 @@ the device (how expensive a barrier is).  The planner resolves it the
 same way everything else in the repo is priced: run one cheap probe
 solve per candidate to observe the true iteration count, then combine
 modeled setup + iterations × modeled per-iteration seconds on the
-target device.  :func:`repro.harness.spai_study.run_spai_crossover`
-sweeps this planner over matrix categories and sync-cost scalings to
-reproduce the crossover map.
+target device.  The probe solves do not depend on the device, so the
+cached preconditioner of a matrix serves every device it is priced on.
+:func:`repro.harness.spai_study.run_spai_crossover` sweeps this planner
+over matrix categories and sync-cost scalings to reproduce the
+crossover map.
 """
 
 from __future__ import annotations
@@ -132,8 +134,7 @@ def plan_preconditioner(a: CSRMatrix, b: np.ndarray | None = None, *,
                 setup = time_precond_setup(device, m)
             else:
                 res = spcg(a, b, preconditioner=kind, k=k,
-                           criterion=criterion, device=device,
-                           cache=cache)
+                           criterion=criterion, cache=cache)
                 m, solve = res.preconditioner, res.solve
                 setup = (time_sparsification(device, a.nnz)
                          + time_precond_setup(device, m,

@@ -1,26 +1,18 @@
-"""Sparse triangular solvers: sequential reference and two GPU executors.
+"""Sparse triangular solvers: sequential reference and the GPU executor.
 
 Solving the two triangular systems of the preconditioner application is
-where PCG spends its time on GPUs (Section 2 of the paper).  Two
-executor strategies are provided, both inspector–executor pattern:
+where PCG spends its time on GPUs (Section 2 of the paper).
+:class:`ScheduledTriangularSolver` follows the inspector–executor
+pattern with level scheduling: the inspector
+(:func:`repro.graph.level_schedule`) runs once per factor, the executor
+then performs **one segmented, fully-vectorized kernel per wavefront**
+— the NumPy analogue of one CUDA kernel launch per level, with the
+inter-level Python step standing in for the barrier synchronization.
+Fewer wavefronts therefore mean both fewer modeled synchronizations
+*and* measurably less interpreter overhead.
 
-* :class:`ScheduledTriangularSolver` — level scheduling: the inspector
-  (:func:`repro.graph.level_schedule`) runs once per factor, the
-  executor then performs **one segmented, fully-vectorized kernel per
-  wavefront** — the NumPy analogue of one CUDA kernel launch per level,
-  with the inter-level Python step standing in for the barrier
-  synchronization.  Fewer wavefronts therefore mean both fewer modeled
-  synchronizations *and* measurably less interpreter overhead.
-* :class:`PartitionedTriangularSolver` — fine-grained domain
-  decomposition (arXiv 2508.04917): the factor is fenced into ``P``
-  independent diagonal sub-triangles solved concurrently (block-local
-  syncs) plus an off-diagonal coupling block repaired by a block-Jacobi
-  correction loop that terminates exactly after ``max(depth)`` sweeps.
-  On deep-wavefront factors this trades ``n_levels`` device barriers
-  for ``2·n_sweeps`` of them.
-
-:func:`repro.precond.engine.make_triangular_solver` chooses between the
-two from modeled cost.
+The partitioned (domain-decomposition) SpTRSV of arXiv 2508.04917 is
+priced, not run: see :func:`repro.precond.engine.plan_trisolve`.
 """
 
 from __future__ import annotations
@@ -31,14 +23,12 @@ from ..errors import (NotTriangularError, ScheduleError, ShapeError,
                       SingularFactorError)
 from ..graph.dag import _entry_rows
 from ..graph.levels import LevelSchedule, level_schedule
-from ..graph.partition import RowPartition, partition_rows, split_partition
 from ..sparse.csr import CSRMatrix
 
 __all__ = [
     "solve_lower_sequential",
     "solve_upper_sequential",
     "ScheduledTriangularSolver",
-    "PartitionedTriangularSolver",
 ]
 
 #: Default relative pivot tolerance: ``None`` selects the factor dtype's
@@ -74,7 +64,7 @@ def _summed_diag(tri: CSRMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-row diagonal values (duplicates summed, float64) + presence.
 
     Summing duplicate diagonal entries is the CSR convention (assembly
-    semantics); both the sequential oracles and the executors use this
+    semantics); both the sequential oracles and the executor use this
     helper so non-canonical input cannot make them diverge.
     """
     n = tri.n_rows
@@ -243,9 +233,6 @@ class ScheduledTriangularSolver:
     :meth:`kernel_profile` for the machine model.
     """
 
-    #: Engine tag for reporting / auto-selection bookkeeping.
-    engine = "levels"
-
     def __init__(self, tri: CSRMatrix, *, kind: str = "lower",
                  unit_diagonal: bool = False,
                  schedule: LevelSchedule | None = None,
@@ -332,11 +319,6 @@ class ScheduledTriangularSolver:
         return self.schedule.n_levels
 
     @property
-    def n_exposed_syncs(self) -> int:
-        """Device-wide barriers per solve (level boundaries)."""
-        return max(0, self.n_levels - 1)
-
-    @property
     def nnz(self) -> int:
         """Stored off-diagonal entries plus diagonal contributions."""
         return int(self._level_nnz.sum())
@@ -407,184 +389,3 @@ class ScheduledTriangularSolver:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ScheduledTriangularSolver(kind={self.kind!r}, n={self.n}, "
                 f"levels={self.n_levels}, unit_diagonal={self.unit_diagonal})")
-
-
-class PartitionedTriangularSolver:
-    """Domain-decomposition triangular solver (arXiv 2508.04917 style).
-
-    The inspector (:func:`repro.graph.partition.partition_rows`) fences
-    the factor into ``P`` contiguous-row diagonal sub-triangles ``T_p``
-    plus the off-diagonal coupling block ``C``.  :meth:`solve` first
-    solves every ``T_p x_p = b_p`` concurrently (round 0), then runs the
-    block-Jacobi correction loop: sweep *s* computes ``c = C x`` once
-    and refreshes every not-yet-exact partition with
-    ``x_p = T_p⁻¹ (b_p − c_p)``.  Partition *p* is exact after sweep
-    ``depth[p]`` (its level in the condensed partition DAG), so the loop
-    runs exactly ``n_sweeps = max(depth)`` times and the result equals
-    the sequential substitution — no approximation is involved.
-
-    Modeled-cost shape: each sub-triangle runs in one thread block, so
-    its internal level boundaries are block-local syncs; only the
-    ``2·n_sweeps`` barriers around the coupling SpMVs are device-wide.
-    Level scheduling pays ``n_levels − 1`` device barriers instead,
-    which is why this engine wins exactly on deep-wavefront factors
-    (``max_level ≫ n/P``) — the matrices sparsification helps least.
-
-    Parameters
-    ----------
-    tri:
-        Square triangular CSR matrix in canonical form.
-    kind, unit_diagonal:
-        As for :class:`ScheduledTriangularSolver`.
-    n_parts:
-        Requested partition count (clamped to ``[1, n]``); ignored when
-        *partition* is given.
-    partition:
-        Optional precomputed :class:`~repro.graph.partition.RowPartition`.
-    pivot_rtol:
-        Relative pivot-rejection tolerance (``None`` = dtype eps),
-        applied globally across all partitions.
-
-    Notes
-    -----
-    With ``P = 1`` there is no coupling block and the single
-    sub-triangle is the whole factor, so :meth:`solve` is bitwise
-    identical to :class:`ScheduledTriangularSolver` on the same input.
-    """
-
-    engine = "partitioned"
-
-    def __init__(self, tri: CSRMatrix, *, kind: str = "lower",
-                 unit_diagonal: bool = False, n_parts: int = 4,
-                 partition: RowPartition | None = None,
-                 pivot_rtol: float | None = _PIVOT_RTOL):
-        if kind not in ("lower", "upper"):
-            raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
-        n = _check_square(tri)
-        _entry_rows(tri, kind)
-        self.kind = kind
-        self.unit_diagonal = bool(unit_diagonal)
-        self.n = n
-        self.dtype = tri.dtype
-        # Global pivot validation (threshold relative to the *global*
-        # largest pivot, matching the level-scheduled executor); the
-        # sub-solvers then run with rtol 0 so a locally-small but
-        # globally-acceptable pivot is not rejected twice.
-        if not self.unit_diagonal:
-            _checked_diag(tri, pivot_rtol)
-        part = (partition if partition is not None
-                else partition_rows(tri, n_parts, kind=kind))
-        if part.n != n:
-            raise ShapeError("partition order does not match the matrix")
-        if part.kind != kind:
-            raise ValueError(f"partition was cut for kind={part.kind!r}, "
-                             f"solver is {kind!r}")
-        self.partition = part
-        subs, coupling = split_partition(tri, part)
-        self._solvers = [
-            ScheduledTriangularSolver(sub, kind=kind,
-                                      unit_diagonal=unit_diagonal,
-                                      pivot_rtol=0.0)
-            for sub in subs
-        ]
-        self._coupling = coupling
-
-    # ------------------------------------------------------------------
-    @property
-    def n_parts(self) -> int:
-        return self.partition.n_parts
-
-    @property
-    def n_sweeps(self) -> int:
-        """Correction sweeps per solve (exactness bound)."""
-        return self.partition.n_sweeps
-
-    @property
-    def n_levels(self) -> int:
-        """Longest sub-triangle wavefront chain (one round's depth)."""
-        return max((s.n_levels for s in self._solvers), default=0)
-
-    @property
-    def n_exposed_syncs(self) -> int:
-        """Device-wide barriers per solve: two per correction sweep
-        (round done → coupling SpMV → refresh), none inside rounds."""
-        return 2 * self.n_sweeps
-
-    @property
-    def nnz(self) -> int:
-        """Off-diagonal + diagonal ops across all blocks per solve."""
-        return (sum(s.nnz for s in self._solvers)
-                + int(self._coupling.nnz))
-
-    def kernel_profile(self) -> tuple[np.ndarray, np.ndarray]:
-        """As-if-concurrent per-level ``(rows, nnz)`` profile.
-
-        Sub-triangle wavefronts execute concurrently, so level *k* of
-        the merged profile aggregates level *k* of every partition.
-        This keeps generic consumers (experiment metrics, serving
-        estimators) working; the engine-aware cost model prices the
-        correction sweeps separately via :meth:`cost_args`.
-        """
-        depth = self.n_levels
-        rows = np.zeros(depth, dtype=np.int64)
-        nnz = np.zeros(depth, dtype=np.int64)
-        for s in self._solvers:
-            r, z = s.kernel_profile()
-            rows[:r.shape[0]] += r
-            nnz[:z.shape[0]] += z
-        return rows, nnz
-
-    def cost_args(self) -> dict:
-        """Keyword arguments for
-        :func:`repro.machine.kernels.time_trisolve_partitioned`."""
-        return {
-            "profiles": [s.kernel_profile() for s in self._solvers],
-            "depth": self.partition.depth,
-            "coupling_rows": self.partition.coupling_rows,
-            "coupling_nnz": self.partition.coupling_nnz,
-        }
-
-    # ------------------------------------------------------------------
-    def solve(self, b: np.ndarray, out: np.ndarray | None = None
-              ) -> np.ndarray:
-        """Solve the triangular system for *b* (``(n,)`` or ``(n, B)``).
-
-        Round 0 solves every diagonal block from ``b`` alone; each
-        correction sweep then computes one coupling product ``C x`` and
-        re-solves the partitions whose condensed-DAG depth has not been
-        reached yet.  The result matches the sequential substitution
-        exactly (see the class docstring).  A block comes back
-        column-major unless *out* is given; *out* must not alias *b*.
-        """
-        b = np.asarray(b)
-        if b.ndim == 2:
-            if b.shape[0] != self.n:
-                raise ShapeError(f"b must have shape ({self.n}, B), "
-                                 f"got {b.shape}")
-        elif b.shape != (self.n,):
-            raise ShapeError(f"b must have shape ({self.n},)")
-        dtype = np.result_type(self.dtype, b.dtype)
-        x = out if out is not None else np.empty(b.shape[::-1], dtype).T
-        if x.shape != b.shape:
-            raise ShapeError(f"out must have shape {b.shape}")
-        fences = self.partition.fences
-        for p, solver in enumerate(self._solvers):
-            lo, hi = int(fences[p]), int(fences[p + 1])
-            solver.solve(b[lo:hi], out=x[lo:hi])
-        depth = self.partition.depth
-        for s in range(1, self.n_sweeps + 1):
-            c = (self._coupling.matvec(x) if x.ndim == 1
-                 else self._coupling.matmat(x))
-            for p in np.flatnonzero(depth >= s):
-                lo, hi = int(fences[p]), int(fences[p + 1])
-                self._solvers[p].solve(b[lo:hi] - c[lo:hi],
-                                       out=x[lo:hi])
-        return x
-
-    __call__ = solve
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"PartitionedTriangularSolver(kind={self.kind!r}, "
-                f"n={self.n}, parts={self.n_parts}, "
-                f"sweeps={self.n_sweeps}, "
-                f"unit_diagonal={self.unit_diagonal})")

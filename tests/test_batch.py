@@ -360,12 +360,10 @@ class TestColumnMajorBlocks:
 
     @pytest.mark.parametrize("make", [
         lambda a: ILU0Preconditioner(a),
-        lambda a: ILU0Preconditioner(a, engine="partitioned", n_parts=3),
         lambda a: SSORPreconditioner(a, omega=1.3),
         lambda a: IC0Preconditioner(a),
         FSAIPreconditioner, SPAIPreconditioner, JacobiPreconditioner],
-        ids=["ilu0", "ilu0-partitioned", "ssor", "ic0", "fsai", "spai",
-             "jacobi"])
+        ids=["ilu0", "ssor", "ic0", "fsai", "spai", "jacobi"])
     def test_preconditioner_apply_any_layout(self, make, make_rng):
         a = stencil_poisson_2d(9)
         m = make(a)

@@ -66,11 +66,6 @@ class TestMixedPrecisionSolve:
         # The retry rebuilt full-precision factors.
         assert res.preconditioner.value_dtype == np.float64
 
-    def test_mixed_with_partitioned_engine(self, make_rng):
-        _, _, res = self._solve("mixed", make_rng(5), engine="auto")
-        assert res.converged
-        assert res.preconditioner.value_dtype == np.float32
-
 
 class TestMixedPrecisionPreconditioner:
     def test_invalid_precision_raises(self):

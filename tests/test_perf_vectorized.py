@@ -4,10 +4,10 @@ The wavefront-batched numeric factorization of
 ``repro.perf.vectorized`` claims bitwise equality with the scalar IKJ
 sweep; the level-contiguous triangular executor claims tight agreement
 with the sequential substitutions, column-by-column bitwise equality
-between block and single right-hand sides, independence from how tight
-the level schedule is, and bitwise equality with the one-partition
-partitioned engine.  These tests pin those claims, property-based over
-the generators of ``test_properties``, through the public API only.
+between block and single right-hand sides, and independence from how
+tight the level schedule is.  These tests pin those claims,
+property-based over the generators of ``test_properties``, through the
+public API only.
 """
 
 import numpy as np
@@ -18,8 +18,7 @@ from repro.errors import SingularFactorError, SparseFormatError
 from repro.graph import LevelSchedule, level_schedule
 from repro.perf import (ArtifactCache, build_factor_plan, get_cache,
                         ilu_numeric_vectorized)
-from repro.precond import (PartitionedTriangularSolver,
-                           ScheduledTriangularSolver, ilu0,
+from repro.precond import (ScheduledTriangularSolver, ilu0,
                            solve_lower_sequential, solve_upper_sequential)
 from repro.precond.ilu0 import ilu_numeric_inplace
 from repro.precond.iluk import iluk, iluk_symbolic
@@ -474,20 +473,6 @@ class TestLevelContiguousExecutor:
             np.testing.assert_allclose(x[:, j],
                                        _oracle(tri, b[:, j], kind, unit),
                                        rtol=1e-9, atol=1e-9)
-
-    @given(wide_factor(), st.sampled_from([0, 1, 4]),
-           st.integers(0, 2 ** 31))
-    @settings(max_examples=25, deadline=None)
-    def test_one_partition_bitwise_equals_scheduled(self, fac, width,
-                                                     seed):
-        tri, kind, unit = fac
-        shape = (tri.n_rows,) if width == 0 else (tri.n_rows, width)
-        b = np.random.default_rng(seed).standard_normal(shape)
-        part = PartitionedTriangularSolver(tri, kind=kind,
-                                           unit_diagonal=unit, n_parts=1)
-        sched = ScheduledTriangularSolver(tri, kind=kind,
-                                          unit_diagonal=unit)
-        np.testing.assert_array_equal(part.solve(b), sched.solve(b))
 
 
 class TestCachedVsFreshFactors:

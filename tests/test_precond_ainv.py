@@ -181,6 +181,27 @@ class TestRegistryAndPlan:
         assert not c.converged
         assert c.total_seconds == float("inf")
 
+    def test_crossover_builds_each_ilu0_once(self, monkeypatch):
+        # The probe solves do not depend on the device: the three
+        # sync-scaled devices of one category share one ILU(0) of Â.
+        from repro.harness import run_spai_crossover
+        from repro.perf.cache import ArtifactCache, use_cache
+        from repro.precond import ILU0Preconditioner
+
+        builds = []
+        init = ILU0Preconditioner.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ILU0Preconditioner, "__init__", counted)
+        with use_cache(ArtifactCache()):
+            res = run_spai_crossover(n=220, categories=("thermal", "cfd"))
+        assert len(res.points) == 6
+        assert len({p.plan.device for p in res.points}) == 3
+        assert len(builds) == 2
+
     def test_spcg_suite_matrix_converges(self):
         # The acceptance bar: a tier-1 suite matrix at the 1e-8
         # criterion through the registry path, both ainv kinds.

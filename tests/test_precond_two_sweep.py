@@ -87,16 +87,6 @@ class TestTwoSweepPreconditioners:
         assert iteration_value_traffic(A100, a32, m).precond == \
             4 * m.apply_nnz() + 4 * m.n * f64
 
-    @pytest.mark.parametrize("cls,kwargs", [
-        (ILU0Preconditioner, {}), (ILUKPreconditioner, {"k": 2}),
-        (IC0Preconditioner, {})])
-    def test_partitioned_levels_are_the_solvers_depth(self, thermal, cls,
-                                                      kwargs):
-        m = cls(thermal, engine="partitioned", **kwargs)
-        fwd, bwd = m.solvers()
-        assert m.engine == ("partitioned", "partitioned")
-        assert m.apply_levels() == (fwd.n_levels, bwd.n_levels)
-
 
 class TestOneSetupPrice:
     def test_ic0_priced_as_a_factorization(self, thermal):

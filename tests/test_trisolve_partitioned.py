@@ -1,18 +1,20 @@
-"""Tests for the partitioned (domain-decomposition) SpTRSV engine:
-inspector, executor, cost model and auto-selection."""
+"""Tests for the partitioned (domain-decomposition) SpTRSV price:
+the partition inspector, the cost model and the engine plan.  The
+engine is priced, not run, so its profiles are pinned to the
+level-scheduled executor on each diagonal block, and the sweep count it
+is charged is checked against a test-only run of its sweeps."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import (level_schedule, partition_profiles,
-                         partition_rows, split_partition)
+from repro.graph import (level_profile, level_schedule,
+                         partition_profiles, partition_rows,
+                         split_partition)
 from repro.machine import A100, EPYC_7413, time_trisolve, \
     time_trisolve_partitioned
-from repro.precond import (PartitionedTriangularSolver,
-                           ScheduledTriangularSolver, make_triangular_solver,
-                           plan_trisolve, solve_lower_sequential,
-                           solve_upper_sequential)
+from repro.precond import (ScheduledTriangularSolver, plan_trisolve,
+                           solve_lower_sequential, solve_upper_sequential)
 from repro.sparse import CSRMatrix, stencil_poisson_1d, stencil_poisson_2d
 
 from conftest import TEST_SEED
@@ -34,12 +36,6 @@ def random_factor(seed, n, kind="lower", unit=False, density=0.3,
     return CSRMatrix.from_dense(dense.astype(dtype))
 
 
-def oracle(tri, b, kind, unit):
-    if kind == "lower":
-        return solve_lower_sequential(tri, b, unit_diagonal=unit)
-    return solve_upper_sequential(tri, b, unit_diagonal=unit)
-
-
 def chain_lower(n):
     """Band-1 chain: the wavefront-deep worst case for level scheduling."""
     from repro.precond.ilu0 import ilu0
@@ -51,6 +47,30 @@ def poisson2d_lower(side):
     from repro.precond.ilu0 import ilu0
 
     return ilu0(stencil_poisson_2d(side)).lower
+
+
+def depth_gated_solve(tri, part, b):
+    """The partitioned SpTRSV of arXiv 2508.04917, run here only as an
+    oracle of the depths it is priced with: round 0 solves each diagonal
+    block from *b*; sweep *s* forms ``C x`` once and re-solves the
+    partitions with ``depth >= s`` from ``b - C x``."""
+    subs, coupling = split_partition(tri, part)
+    solvers = [ScheduledTriangularSolver(sub, kind=part.kind) for sub in subs]
+    f = part.fences
+    x = np.concatenate([sv.solve(b[f[p]:f[p + 1]])
+                        for p, sv in enumerate(solvers)])
+    for s in range(1, part.n_sweeps + 1):
+        c = coupling.matvec(x)
+        for p in np.flatnonzero(part.depth >= s):
+            x[f[p]:f[p + 1]] = solvers[p].solve(b[f[p]:f[p + 1]]
+                                                - c[f[p]:f[p + 1]])
+    return x
+
+
+def sequential(tri, b, kind):
+    if kind == "lower":
+        return solve_lower_sequential(tri, b)
+    return solve_upper_sequential(tri, b)
 
 
 class TestRowPartition:
@@ -69,6 +89,10 @@ class TestRowPartition:
         # A chain couples partition p to p-1 only: depth is 0..P-1.
         np.testing.assert_array_equal(part.depth, np.arange(8))
         assert part.n_sweeps == 7
+        # Its transpose runs backward: the last partition goes first.
+        part = partition_rows(tri.transpose(), 8, kind="upper")
+        np.testing.assert_array_equal(part.depth, np.arange(7, -1, -1))
+        assert part.n_sweeps == 7
 
     def test_no_coupling_means_zero_depth(self):
         # Block-diagonal: fences at the block boundary -> no crossing.
@@ -78,15 +102,6 @@ class TestRowPartition:
         part = partition_rows(CSRMatrix.from_dense(dense), 2)
         assert part.coupling_nnz == 0
         assert part.n_sweeps == 0
-
-    def test_part_of(self):
-        tri = random_factor(1, 20)
-        part = partition_rows(tri, 4)
-        rows = np.arange(20)
-        owner = part.part_of(rows)
-        for p in range(part.n_parts):
-            lo, hi = part.rows_of(p)
-            assert (owner[lo:hi] == p).all()
 
     def test_invalid_inputs(self):
         tri = random_factor(2, 10)
@@ -110,106 +125,52 @@ class TestSplitPartition:
         np.testing.assert_array_equal(dense, tri.to_dense())
 
     def test_profiles_match_executor(self):
-        tri = random_factor(4, 40)
-        part = partition_rows(tri, 4)
-        profs = partition_profiles(tri, part)
-        solver = PartitionedTriangularSolver(tri, n_parts=4)
-        for (rows, nnz), sub in zip(profs, solver._solvers):
-            r2, z2 = sub.kernel_profile()
-            np.testing.assert_array_equal(rows, r2)
-            np.testing.assert_array_equal(nnz, z2)
+        # The priced profile of each diagonal block is what the
+        # level-scheduled executor reports for that block.
+        for kind in ("lower", "upper"):
+            tri = random_factor(4, 40, kind=kind)
+            part = partition_rows(tri, 4, kind=kind)
+            profs = partition_profiles(tri, part)
+            subs, _ = split_partition(tri, part)
+            assert len(profs) == len(subs) == 4
+            # The whole triangle too: plan_trisolve's levels price.
+            profs.append(level_profile(tri, kind))
+            subs.append(tri)
+            for (rows, nnz), sub in zip(profs, subs):
+                solver = ScheduledTriangularSolver(sub, kind=kind)
+                r2, z2 = solver.kernel_profile()
+                np.testing.assert_array_equal(rows, r2)
+                np.testing.assert_array_equal(nnz, z2)
 
 
-class TestPartitionedSolver:
+class TestDepthMakesSweepsExact:
+    """``depth[p]`` sweeps make partition *p* exact, so the price's
+    ``max(depth)`` correction sweeps are enough."""
+
+    @pytest.mark.parametrize("density", [0.05, 0.3])
     @pytest.mark.parametrize("kind", ["lower", "upper"])
-    @pytest.mark.parametrize("p", [1, 2, 4, 8])
-    def test_matches_oracle(self, kind, p, rng):
-        tri = random_factor(5, 60, kind=kind)
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_matches_sequential(self, p, kind, density, rng):
+        tri = random_factor(5, 60, kind=kind, density=density)
+        part = partition_rows(tri, p, kind=kind)
         b = rng.standard_normal(60)
-        solver = PartitionedTriangularSolver(tri, kind=kind, n_parts=p)
-        x = solver.solve(b)
-        np.testing.assert_allclose(x, oracle(tri, b, kind, False),
+        np.testing.assert_allclose(depth_gated_solve(tri, part, b),
+                                   sequential(tri, b, kind),
                                    rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("kind", ["lower", "upper"])
-    def test_unit_diagonal(self, kind, rng):
-        tri = random_factor(6, 45, kind=kind, unit=True)
-        b = rng.standard_normal(45)
-        solver = PartitionedTriangularSolver(tri, kind=kind, n_parts=4,
-                                             unit_diagonal=True)
-        np.testing.assert_allclose(solver.solve(b),
-                                   oracle(tri, b, kind, True),
-                                   rtol=1e-12, atol=1e-12)
-
-    def test_batched_rhs_matches_columns(self, rng):
-        tri = random_factor(7, 50)
-        block = rng.standard_normal((50, 5))
-        solver = PartitionedTriangularSolver(tri, n_parts=4)
-        xb = solver.solve(block)
-        assert xb.shape == (50, 5)
-        for j in range(5):
-            np.testing.assert_array_equal(xb[:, j], solver.solve(block[:, j]))
-
-    def test_p1_bitwise_equals_scheduled(self, rng):
-        tri = random_factor(8, 64)
-        b = rng.standard_normal(64)
-        part = PartitionedTriangularSolver(tri, n_parts=1)
-        sched = ScheduledTriangularSolver(tri, kind="lower")
-        np.testing.assert_array_equal(part.solve(b), sched.solve(b))
-
-    def test_out_parameter(self, rng):
-        tri = random_factor(9, 30)
-        b = rng.standard_normal(30)
-        out = np.empty(30)
-        solver = PartitionedTriangularSolver(tri, n_parts=2)
-        assert solver.solve(b, out=out) is out
-
-    def test_exposed_syncs_fewer_than_levels_on_chain(self):
-        tri = chain_lower(256)
-        sched = ScheduledTriangularSolver(tri, kind="lower",
-                                          unit_diagonal=True)
-        part = PartitionedTriangularSolver(tri, n_parts=8,
-                                           unit_diagonal=True)
-        assert sched.n_exposed_syncs == sched.n_levels - 1
-        assert part.n_exposed_syncs == 2 * part.n_sweeps
-        assert part.n_exposed_syncs < sched.n_exposed_syncs
-
-    def test_kernel_profile_conserves_work(self):
-        tri = random_factor(10, 48)
-        solver = PartitionedTriangularSolver(tri, n_parts=4)
-        rows, _ = solver.kernel_profile()
-        assert rows.sum() == 48
-
-    def test_global_pivot_threshold(self):
-        # Pivot fine locally but negligible against the global max.
-        dense = np.diag([1e8, 1.0, 1.0, 1e-6]).astype(np.float64)
-        dense[1, 0] = dense[2, 1] = dense[3, 2] = 0.5
-        tri = CSRMatrix.from_dense(dense)
-        from repro.errors import SingularFactorError
-
-        with pytest.raises(SingularFactorError):
-            PartitionedTriangularSolver(tri, n_parts=2, pivot_rtol=1e-10)
 
     @given(seed=st.integers(0, 2 ** 20),
            n=st.integers(1, 48),
            p=st.sampled_from([1, 2, 4, 8]),
            kind=st.sampled_from(["lower", "upper"]),
-           unit=st.booleans(),
-           batched=st.booleans())
+           density=st.sampled_from([0.02, 0.1, 0.3]))
     @settings(max_examples=60, deadline=None)
-    def test_property_matches_oracle(self, seed, n, p, kind, unit, batched):
-        tri = random_factor(seed, n, kind=kind, unit=unit)
-        rng = np.random.default_rng(TEST_SEED + seed + 1)
-        b = rng.standard_normal((n, 3) if batched else n)
-        solver = PartitionedTriangularSolver(tri, kind=kind, n_parts=p,
-                                             unit_diagonal=unit)
-        x = solver.solve(b)
-        if batched:
-            ref = np.stack([oracle(tri, b[:, j], kind, unit)
-                            for j in range(3)], axis=1)
-        else:
-            ref = oracle(tri, b, kind, unit)
-        np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12)
+    def test_property_matches_sequential(self, seed, n, p, kind, density):
+        tri = random_factor(seed, n, kind=kind, density=density)
+        part = partition_rows(tri, p, kind=kind)
+        b = np.random.default_rng(TEST_SEED + seed + 1).standard_normal(n)
+        np.testing.assert_allclose(depth_gated_solve(tri, part, b),
+                                   sequential(tri, b, kind),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestPartitionedCostModel:
@@ -254,18 +215,6 @@ class TestPartitionedCostModel:
                 A100, [(np.ones(1), np.ones(1))], np.array([0]), 0, 0,
                 internal_sync_fraction=1.5)
 
-    def test_batched_no_cheaper_than_single(self):
-        tri = chain_lower(128)
-        part = partition_rows(tri, 4)
-        profs = partition_profiles(tri, part)
-        t1 = time_trisolve_partitioned(A100, profs, part.depth,
-                                       part.coupling_rows,
-                                       part.coupling_nnz)
-        t8 = time_trisolve_partitioned(A100, profs, part.depth,
-                                       part.coupling_rows,
-                                       part.coupling_nnz, batch=8)
-        assert t8 >= t1
-
 
 class TestEnginePlanning:
     def test_auto_never_picks_modeled_slower(self):
@@ -281,58 +230,9 @@ class TestEnginePlanning:
                           else plan.levels_seconds)
                 assert chosen == best
 
-    def test_forced_engines(self):
-        tri = chain_lower(64)
-        lev = make_triangular_solver(tri, engine="levels",
-                                     unit_diagonal=True)
-        prt = make_triangular_solver(tri, engine="partitioned",
-                                     unit_diagonal=True)
-        assert lev.engine == "levels"
-        assert prt.engine == "partitioned"
-
-    def test_auto_picks_partitioned_on_chain(self, rng):
-        tri = chain_lower(256)
-        solver = make_triangular_solver(tri, engine="auto",
-                                        unit_diagonal=True)
-        assert solver.engine == "partitioned"
-        b = rng.standard_normal(256)
-        np.testing.assert_allclose(
-            solver.solve(b),
-            solve_lower_sequential(tri, b, unit_diagonal=True),
-            rtol=0, atol=1e-12)
-
     def test_plan_records_both_costs(self):
         plan = plan_trisolve(chain_lower(128), kind="lower")
         assert plan.levels_seconds > 0
         assert plan.partitioned_seconds > 0
         assert plan.engine in ("levels", "partitioned")
         assert plan.speedup == plan.levels_seconds / plan.partitioned_seconds
-
-    @pytest.mark.parametrize("engine", ["auto", "partitioned"])
-    def test_winner_partitioned_once(self, monkeypatch, engine):
-        """The executor takes the partition the plan priced: ILU(0) of
-        ``thermal_900_s100`` partitions each factor once per candidate
-        width (4 + 4), and its two winners not again."""
-        import repro.precond.engine as engine_mod
-        import repro.precond.triangular as triangular_mod
-        from repro.datasets import load
-        from repro.precond import ILU0Preconditioner
-
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[1:])
-            return partition_rows(*args, **kwargs)
-
-        for mod in (engine_mod, triangular_mod):
-            monkeypatch.setattr(mod, "partition_rows", counted)
-        m = ILU0Preconditioner(load("thermal_900_s100"), engine=engine)
-        assert m.engine == ("partitioned", "partitioned")
-        assert len(calls) == 8
-
-    def test_invalid_engine(self):
-        tri = chain_lower(16)
-        with pytest.raises(ValueError):
-            plan_trisolve(tri, engine="magic")
-        with pytest.raises(ValueError):
-            make_triangular_solver(tri, engine="magic")

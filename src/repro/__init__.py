@@ -18,7 +18,7 @@ Subpackages
 ``repro.graph``
     Dependence DAG and wavefront (level) scheduling.
 ``repro.precond``
-    ILU(0), ILU(K), IC(0), Jacobi, SSOR; wavefront triangular solvers.
+    ILU(0), ILU(K), IC(0), Jacobi; wavefront triangular solvers.
 ``repro.solvers``
     CG and left-preconditioned CG (Algorithm 1).
 ``repro.core``
@@ -75,7 +75,6 @@ from .graph import (
     LevelSchedule,
     level_schedule,
     wavefront_count,
-    wavefront_stats,
 )
 from .precond import (
     IC0Preconditioner,
@@ -83,7 +82,6 @@ from .precond import (
     ILUKPreconditioner,
     IdentityPreconditioner,
     JacobiPreconditioner,
-    SSORPreconditioner,
     ScheduledTriangularSolver,
     ilu0,
     iluk,
@@ -144,10 +142,10 @@ __all__ = [
     "stencil_poisson_1d", "stencil_poisson_2d", "stencil_poisson_3d",
     "read_matrix_market", "write_matrix_market",
     # graph
-    "LevelSchedule", "level_schedule", "wavefront_count", "wavefront_stats",
+    "LevelSchedule", "level_schedule", "wavefront_count",
     # precond
     "ILU0Preconditioner", "ILUKPreconditioner", "IC0Preconditioner",
-    "JacobiPreconditioner", "SSORPreconditioner", "IdentityPreconditioner",
+    "JacobiPreconditioner", "IdentityPreconditioner",
     "ScheduledTriangularSolver", "ilu0", "iluk",
     # solvers
     "SolveResult", "StoppingCriterion", "TerminationReason", "cg", "pcg",

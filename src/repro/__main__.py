@@ -80,8 +80,7 @@ def _cmd_suite(args) -> int:
                         k_candidates=tuple(args.k_candidates),
                         run_fixed_ratios=not args.fast,
                         progress=not args.quiet,
-                        robust=args.robust,
-                        parallel=args.jobs)
+                        robust=args.robust)
     agg = res.aggregates()
     print(f"\nmatrices: {agg.n_matrices}  device: {res.device}  "
           f"preconditioner: {res.precond_kind}")
@@ -449,9 +448,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--robust", action="store_true",
                    help="also run the fallback ladder per matrix and "
                         "report recovery rate + failure taxonomy")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for the sweep (deterministic "
-                        "ordering; aggregates identical to --jobs 1)")
     p.add_argument("--trace", default="", metavar="OUT.JSONL",
                    help="record the structured event trace to this "
                         "JSON-lines file (render with `repro report`)")

@@ -18,8 +18,7 @@ matrices.  :class:`SolverService` exploits that shape twice:
    :func:`~repro.machine.kernels.iteration_cost` at ``batch=B``).
 
 Every flush emits ``batch_start``/``batch_end`` trace events carrying
-the batch size and records the modeled batched kernels on a
-:class:`~repro.machine.timeline.Timeline`.
+the batch size.
 
 Since the serving layer landed, :meth:`SolverService.flush` is a thin
 wrapper over :class:`repro.serve.ServeScheduler` with the *degenerate*
@@ -32,13 +31,12 @@ continuous batching) shares one dispatch implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..machine.device import A100, DeviceModel, get_device
+from ..machine.device import DeviceModel, get_device
 from ..machine.kernels import iteration_cost
-from ..machine.timeline import Timeline
 from ..obs.metrics import get_metrics
 from ..perf.cache import ArtifactCache
 from ..serve.request import validate_rhs, validate_x0
@@ -97,7 +95,6 @@ class BatchReport:
     results: list[SolveResult]
     tags: list[str]
     groups: list[GroupReport]
-    timeline: Timeline = field(default_factory=Timeline)
 
     @property
     def n_requests(self) -> int:
@@ -149,11 +146,7 @@ class SolverService:
         self.kind = preconditioner
         self.k = int(k)
         self.criterion = criterion
-        if device is None:
-            device = A100
-        elif isinstance(device, str):
-            device = get_device(device)
-        self.device = device
+        self.device = get_device(device)
         self.cache = cache
         self._pending: list[SolveRequest] = []
 
@@ -234,7 +227,6 @@ class SolverService:
             fp_matrix.setdefault(sched.outcome(i).fingerprint, req.a)
 
         reports: list[GroupReport] = []
-        timeline = Timeline()
         metrics = get_metrics()
         for d in sched.report().dispatches:
             a = fp_matrix[d.fingerprint]
@@ -243,12 +235,6 @@ class SolverService:
                                   batch=nb)
             block: BlockSolveResult = d.block
             sweeps = block.block_iters
-            for name, t in (("spmv_batched", cost.spmv),
-                            ("trisolve_fwd_batched", cost.precond_fwd),
-                            ("trisolve_bwd_batched", cost.precond_bwd),
-                            ("dots_batched", cost.dots),
-                            ("axpys_batched", cost.axpys)):
-                timeline.record(name, "batched_solve", t * sweeps)
             seconds = cost.total * sweeps
             reports.append(GroupReport(
                 fingerprint=d.fingerprint, batch=nb, block_iters=sweeps,
@@ -260,4 +246,4 @@ class SolverService:
 
         return BatchReport(results=results,
                            tags=[req.tag for req in pending],
-                           groups=reports, timeline=timeline)
+                           groups=reports)

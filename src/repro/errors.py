@@ -143,19 +143,14 @@ class AbortSolve(ReproError, RuntimeError):
 class SuiteWorkerError(ReproError, RuntimeError):
     """A suite experiment failed; names the matrix that caused it.
 
-    Raised by :func:`repro.harness.suite.run_suite` on both the
-    sequential and the parallel path so a sweep failure always
-    identifies *which* matrix broke — the parallel runner drains every
-    remaining future (orderly pool shutdown, no abandoned work) before
-    re-raising the first failure with any further failing matrices
-    listed in the message.
+    Raised by :func:`repro.harness.suite.run_suite` so a sweep failure
+    identifies *which* matrix broke; the experiment's own exception is
+    chained as ``__cause__``.
     """
 
-    def __init__(self, matrix: str, message: str | None = None):
+    def __init__(self, matrix: str):
         self.matrix = str(matrix)
-        super().__init__(message
-                         or f"suite experiment failed on matrix "
-                            f"{matrix!r}")
+        super().__init__(f"suite experiment failed on matrix {matrix!r}")
 
 
 class FillLimitExceeded(ReproError, RuntimeError):

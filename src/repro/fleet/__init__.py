@@ -1,8 +1,7 @@
 """Fleet layer: N modeled devices, a fingerprint router, link pricing.
 
-The serving layer (:mod:`repro.serve`) simulates one device; the north
-star is heavy traffic from millions of users.  This package scales the
-simulation out:
+The serving layer (:mod:`repro.serve`) simulates one device; this
+package runs N of them behind one router:
 
 * :mod:`repro.fleet.router` — fingerprint-affine routing (cold →
   consistent hash for cache affinity, hot → replicate with
@@ -14,32 +13,20 @@ simulation out:
 * :mod:`repro.fleet.report` — :class:`FleetReport` aggregation with
   pooled latency percentiles and busy-time-weighted occupancy (the two
   numbers naive per-device averaging gets wrong).
-* :mod:`repro.fleet.shard` — row-sharding one huge matrix across
-  devices: halo-exchange measurement and :func:`shard_comm_seconds`,
-  the link seconds one sharded PCG iteration pays.
 * :mod:`repro.fleet.cost` — per-iteration fleet pricing of ``pcg``
   versus the pipelined and s-step CG variants of arXiv 2501.03743,
   exposing exactly the allreduce-on-the-critical-path seconds each
   variant removes.
 
 Link costs come from :mod:`repro.machine.link` and are exactly zero at
-``n_devices = 1`` — a one-device fleet prices bitwise like the PR-5
-single server.
+``n_devices = 1``, so a one-device fleet prices bitwise like the single
+:class:`~repro.serve.ServeScheduler`.
 """
 
 from .cost import VARIANTS, CommIterationCost, comm_iteration_cost
 from .report import FleetReport, fleet_mean_occupancy, pooled_percentile
 from .router import FleetRouter, RouteDecision
 from .scheduler import FleetScheduler, run_fleet_loadgen
-from .shard import (
-    RowShardPlan,
-    ShardInfo,
-    halo_exchange_seconds,
-    plan_row_shards,
-    shard_comm_seconds,
-    shard_matrices,
-    shard_matvec,
-)
 
 __all__ = [
     "VARIANTS",
@@ -52,11 +39,4 @@ __all__ = [
     "RouteDecision",
     "FleetScheduler",
     "run_fleet_loadgen",
-    "RowShardPlan",
-    "ShardInfo",
-    "halo_exchange_seconds",
-    "plan_row_shards",
-    "shard_comm_seconds",
-    "shard_matrices",
-    "shard_matvec",
 ]

@@ -1,10 +1,9 @@
 """Per-iteration pricing of CG variants on a fleet of modeled devices.
 
-Distributed CG pays two bills the single-device roofline never sees:
-the **allreduce** behind every inner product and the **halo exchange**
-behind every sharded SpMV.  :func:`comm_iteration_cost` extends
-:func:`~repro.machine.kernels.iteration_cost` with those link
-terms for standard PCG and for the pipelined (Ghysels–Vanroose) and
+Distributed CG pays a bill the single-device roofline never sees: the
+**allreduce** behind every inner product.  :func:`comm_iteration_cost`
+extends :func:`~repro.machine.kernels.iteration_cost` with that link
+term for standard PCG and for the pipelined (Ghysels–Vanroose) and
 s-step variants of *Communication-reduced Conjugate Gradient Variants
 for GPU-accelerated Clusters* (arXiv 2501.03743).  The variants are
 priced, not run: the formulas charge each its synchronization

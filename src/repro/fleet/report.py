@@ -22,16 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..serve.scheduler import ServeReport, percentile
+from ..serve.scheduler import ServeReport, _json_num, percentile
 from .router import RouteDecision
 
 __all__ = ["FleetReport", "fleet_mean_occupancy", "pooled_percentile"]
-
-
-def _json_num(x: float):
-    if x != x:  # NaN
-        return None
-    return x
 
 
 def pooled_percentile(reports: list[ServeReport], q: float, *,

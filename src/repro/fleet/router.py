@@ -91,13 +91,6 @@ class FleetRouter:
                 hi = mid
         return ring[lo % len(ring)][1]
 
-    # -- heat ----------------------------------------------------------
-    def heat(self, fingerprint: str) -> int:
-        return self._heat.get(fingerprint, 0)
-
-    def is_hot(self, fingerprint: str) -> bool:
-        return self.heat(fingerprint) > self.hot_threshold
-
     # -- routing -------------------------------------------------------
     def backlog_s(self, device: int, t_now: float) -> float:
         return max(0.0, self.busy_until[device] - t_now)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.spcg import make_preconditioner
-from ..machine.device import A100, DeviceModel, get_device
+from ..machine.device import DeviceModel, get_device
 from ..machine.kernels import estimate_request_seconds
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_recorder
@@ -74,10 +74,7 @@ class FleetScheduler:
         if n_devices < 1:
             raise ValueError(
                 f"n_devices must be at least 1, got {n_devices}")
-        if device is None:
-            device = A100
-        elif isinstance(device, str):
-            device = get_device(device)
+        device = get_device(device)
         if chaos is not None:
             chaos = list(chaos)
             if len(chaos) != n_devices:

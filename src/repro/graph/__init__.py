@@ -9,8 +9,8 @@ synchronizations per triangular solve — the quantity the paper's
 sparsification attacks.
 
 This package computes the DAG, the level schedule (a row sweep over the
-stored entries), and the wavefront statistics used by Algorithm 2 and by
-the evaluation figures.
+stored entries), and the wavefront reduction (Equation 7) used by
+Algorithm 2 and by the evaluation figures.
 """
 
 from .aggregation import AggregatedSchedule, aggregate_levels
@@ -27,7 +27,7 @@ from .partition import (
     partition_rows,
     split_partition,
 )
-from .stats import WavefrontStats, wavefront_reduction_percent, wavefront_stats
+from .stats import wavefront_reduction_percent
 
 __all__ = [
     "AggregatedSchedule",
@@ -42,7 +42,5 @@ __all__ = [
     "partition_profiles",
     "level_profile",
     "split_partition",
-    "WavefrontStats",
-    "wavefront_stats",
     "wavefront_reduction_percent",
 ]

@@ -67,11 +67,6 @@ class LevelSchedule:
         """Row indices of wavefront *k*."""
         return self.rows[self.level_ptr[k]:self.level_ptr[k + 1]]
 
-    @property
-    def mean_parallelism(self) -> float:
-        """Average rows per wavefront — the schedule's exploitable width."""
-        return self.n_rows / self.n_levels if self.n_levels else 0.0
-
     def validate_against(self, tri: CSRMatrix, *, kind: str = "lower") -> None:
         """Assert the schedule respects every dependence of *tri*.
 

@@ -1,66 +1,11 @@
-"""Wavefront statistics and the reduction metric of Equation 7.
+"""The wavefront reduction metric of Equation 7.
 
 ``wavefront_reduction_percent`` is the quantity Algorithm 2 compares
 against the threshold ω, and the x/y data of the correlation study in
 Figures 10a/10b.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-from ..sparse.csr import CSRMatrix
-from ..sparse.ops import extract_lower
-from .levels import LevelSchedule, level_schedule
-
-__all__ = ["WavefrontStats", "wavefront_stats", "wavefront_reduction_percent"]
-
-
-@dataclass(frozen=True)
-class WavefrontStats:
-    """Summary statistics of a wavefront schedule.
-
-    Attributes
-    ----------
-    n_levels:
-        Number of wavefronts (barrier synchronizations per solve).
-    n_rows:
-        Matrix order.
-    mean_parallelism:
-        Average rows per wavefront.
-    max_level_size, min_level_size:
-        Widest / narrowest wavefront.
-    critical_fraction:
-        ``n_levels / n_rows`` — 1.0 means fully sequential, ``1/n`` means
-        embarrassingly parallel.
-    """
-
-    n_levels: int
-    n_rows: int
-    mean_parallelism: float
-    max_level_size: int
-    min_level_size: int
-    critical_fraction: float
-
-
-def wavefront_stats(obj: CSRMatrix | LevelSchedule) -> WavefrontStats:
-    """Compute :class:`WavefrontStats` for a matrix (its lower triangle)
-    or a precomputed schedule."""
-    if isinstance(obj, LevelSchedule):
-        sched = obj
-    else:
-        sched = level_schedule(extract_lower(obj))
-    sizes = sched.level_sizes
-    return WavefrontStats(
-        n_levels=sched.n_levels,
-        n_rows=sched.n_rows,
-        mean_parallelism=sched.mean_parallelism,
-        max_level_size=int(sizes.max()) if sizes.size else 0,
-        min_level_size=int(sizes.min()) if sizes.size else 0,
-        critical_fraction=(sched.n_levels / sched.n_rows
-                           if sched.n_rows else 0.0),
-    )
+__all__ = ["wavefront_reduction_percent"]
 
 
 def wavefront_reduction_percent(w_original: int, w_sparsified: int) -> float:

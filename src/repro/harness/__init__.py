@@ -62,6 +62,7 @@ __all__ = [
     "select_best_k",
     "SuiteResult",
     "SuiteAggregates",
+    "ResilienceAggregates",
     "run_suite",
     "GridPoint",
     "GridSearchResult",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..batch.service import SolverService
-from ..machine.device import A100, DeviceModel, get_device
+from ..machine.device import DeviceModel, get_device
 from ..perf.cache import ArtifactCache
 from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
@@ -104,10 +104,7 @@ def run_batch_scaling(a: CSRMatrix, *, name: str = "matrix",
         raise ValueError("batch_sizes must be non-empty")
     if any(b < 1 for b in batch_sizes):
         raise ValueError("batch sizes must be positive")
-    if device is None:
-        device = A100
-    elif isinstance(device, str):
-        device = get_device(device)
+    device = get_device(device)
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal((a.n_rows, max(batch_sizes)))
     cache = ArtifactCache()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.spcg import spcg
-from ..machine.device import A100, DeviceModel, get_device
+from ..machine.device import DeviceModel, get_device
 from ..machine.kernels import iteration_value_traffic
 from ..solvers.stopping import StoppingCriterion
 from ..sparse.csr import CSRMatrix
@@ -86,10 +86,7 @@ def run_precision_study(a: CSRMatrix, *, name: str = "matrix",
     Both runs share the right-hand side and stopping criterion, so the
     iteration delta is attributable to the factor precision alone.
     """
-    if device is None:
-        device = A100
-    elif isinstance(device, str):
-        device = get_device(device)
+    device = get_device(device)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(a.n_rows)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..datasets.generators import generate
-from ..machine.device import A100, DeviceModel, get_device
+from ..machine.device import DeviceModel, get_device
 from ..precond.plan import PreconditionerPlan, plan_preconditioner
 from ..solvers.stopping import StoppingCriterion
 from .report import render_table
@@ -150,10 +150,7 @@ def run_spai_crossover(*,
     preconditioner builds are shared through the artifact cache and the
     sweep cost is dominated by the probe PCG runs.
     """
-    if device is None:
-        device = A100
-    elif isinstance(device, str):
-        device = get_device(device)
+    device = get_device(device)
     if criterion is None:
         criterion = CRITERION_1E8
 

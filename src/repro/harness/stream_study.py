@@ -29,7 +29,7 @@ import numpy as np
 
 from ..core.spcg import make_preconditioner
 from ..datasets.generators import _grid_edges_2d, _spd_from_edges
-from ..machine.device import A100, DeviceModel, get_device
+from ..machine.device import DeviceModel, get_device
 from ..solvers.cg import pcg
 from ..solvers.stopping import StoppingCriterion
 from ..sparse import add, diags
@@ -205,10 +205,7 @@ def run_stream_study(*, side: int = 20, dt: float = 20.0,
     plate toward steady state, with small steady drift and one
     refactor-scale shock halfway.
     """
-    if device is None:
-        device = A100
-    elif isinstance(device, str):
-        device = get_device(device)
+    device = get_device(device)
     crit = (criterion if criterion is not None
             else StoppingCriterion(rtol=1e-10, atol=0.0, max_iters=1000))
     sched = (drift if drift is not None

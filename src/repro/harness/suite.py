@@ -247,8 +247,7 @@ def run_suite(matrices: Iterable[MatrixSpec | str] | None = None, *,
               progress: bool = False,
               robust: bool = False,
               robust_policy=None,
-              fault_plan_factory=None,
-              parallel: int = 1) -> SuiteResult:
+              fault_plan_factory=None) -> SuiteResult:
     """Run :func:`~repro.harness.experiment.run_experiment` over a
     collection.
 
@@ -273,26 +272,13 @@ def run_suite(matrices: Iterable[MatrixSpec | str] | None = None, *,
         Optional ``name -> FaultPlan | None`` callable giving each
         matrix its own (fresh) fault plan — per-matrix plans keep
         trigger bookkeeping independent across the sweep.
-    parallel:
-        Number of worker threads (``suite --jobs N`` on the CLI).
-        ``1`` (default) keeps the sequential loop.  Results are
-        collected in submission order regardless of completion order,
-        and every experiment is a deterministic function of its spec,
-        so aggregates are **identical** to the sequential path — the
-        golden regression tests assert this.  Workers share the
-        process-wide artifact cache.
 
     Raises
     ------
     SuiteWorkerError
-        When an experiment raises, on either path, naming the failing
-        matrix.  The parallel runner drains every in-flight future
-        first (orderly pool shutdown) and lists any further failing
-        matrices in the message; completed results are not silently
-        discarded mid-drain.
+        When an experiment raises, naming the failing matrix; the
+        experiment's own exception is its ``__cause__``.
     """
-    if parallel < 1:
-        raise ValueError("parallel must be >= 1")
     specs: list[MatrixSpec] = []
     source = SUITE if matrices is None else matrices
     from ..datasets.registry import _BY_NAME  # local import by design
@@ -327,59 +313,23 @@ def run_suite(matrices: Iterable[MatrixSpec | str] | None = None, *,
     rec = get_recorder()
     if rec.enabled:
         rec.emit("suite_start", n_matrices=len(specs), device=device.name,
-                 precond=precond, parallel=parallel, robust=robust)
-
-    def _finish_suite(result: SuiteResult) -> SuiteResult:
-        if rec.enabled:
-            stats = get_cache().stats
-            rec.emit("suite_end", n_results=len(result.results),
-                     cache_hits=stats.hits, cache_misses=stats.misses,
-                     cache_hit_rate=stats.hit_rate,
-                     cache_evictions=stats.evictions)
-        return result
+                 precond=precond, robust=robust)
 
     out = SuiteResult(device=device.name, precond_kind=precond)
-    if parallel == 1:
-        for spec in specs:
-            try:
-                res = _run_one(spec)
-            except Exception as exc:
-                raise SuiteWorkerError(spec.name) from exc
-            if res is None:
-                continue
-            out.results.append(res)
-            if progress:
-                _report(spec, res)
-        return _finish_suite(out)
-
-    # Fan out over a thread pool; futures are drained in submission
-    # order so `out.results` matches the sequential ordering exactly.
-    # Failures are caught per future: the drain keeps going so every
-    # in-flight experiment completes (orderly shutdown, nothing
-    # abandoned) and the error finally raised names the failing matrix
-    # instead of discarding the whole sweep anonymously.
-    from concurrent.futures import ThreadPoolExecutor
-
-    failures: list[tuple[str, BaseException]] = []
-    with ThreadPoolExecutor(max_workers=parallel) as pool:
-        futures = [(spec, pool.submit(_run_one, spec)) for spec in specs]
-        for spec, fut in futures:
-            try:
-                res = fut.result()
-            except Exception as exc:
-                failures.append((spec.name, exc))
-                continue
-            if res is None:
-                continue
-            out.results.append(res)
-            if progress:
-                _report(spec, res)
-    if failures:
-        first_name, first_exc = failures[0]
-        msg = f"suite experiment failed on matrix {first_name!r}"
-        if len(failures) > 1:
-            msg += (" (and "
-                    + ", ".join(repr(n) for n, _ in failures[1:])
-                    + ")")
-        raise SuiteWorkerError(first_name, msg) from first_exc
-    return _finish_suite(out)
+    for spec in specs:
+        try:
+            res = _run_one(spec)
+        except Exception as exc:
+            raise SuiteWorkerError(spec.name) from exc
+        if res is None:
+            continue
+        out.results.append(res)
+        if progress:
+            _report(spec, res)
+    if rec.enabled:
+        stats = get_cache().stats
+        rec.emit("suite_end", n_results=len(out.results),
+                 cache_hits=stats.hits, cache_misses=stats.misses,
+                 cache_hit_rate=stats.hit_rate,
+                 cache_evictions=stats.evictions)
+    return out

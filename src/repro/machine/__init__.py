@@ -29,9 +29,7 @@ from .link import (
     IB_HDR,
     ZERO_LINK,
     get_link,
-    time_point_to_point,
     time_allreduce,
-    time_halo_exchange,
 )
 from .kernels import (
     IterationCost,
@@ -51,7 +49,6 @@ from .kernels import (
     time_abft_check,
     time_residual_check,
 )
-from .timeline import KernelEvent, Timeline
 from .profiler import KernelProfiler, PhaseUtilization
 
 __all__ = [
@@ -66,9 +63,7 @@ __all__ = [
     "IB_HDR",
     "ZERO_LINK",
     "get_link",
-    "time_point_to_point",
     "time_allreduce",
-    "time_halo_exchange",
     "IterationCost",
     "ValueTraffic",
     "estimate_request_seconds",
@@ -85,8 +80,6 @@ __all__ = [
     "time_checkpoint",
     "time_abft_check",
     "time_residual_check",
-    "KernelEvent",
-    "Timeline",
     "KernelProfiler",
     "PhaseUtilization",
 ]

@@ -151,11 +151,17 @@ _REGISTRY["epyc"] = EPYC_7413
 _REGISTRY["cpu"] = EPYC_7413
 
 
-def get_device(name: str) -> DeviceModel:
-    """Look up a preset device by (case-insensitive) name."""
+def get_device(device: DeviceModel | str | None) -> DeviceModel:
+    """The device model *device* stands for: ``None`` is the A100 model,
+    a :class:`DeviceModel` is returned as is, and a name is looked up
+    among the presets (case-insensitive)."""
+    if device is None:
+        return A100
+    if isinstance(device, DeviceModel):
+        return device
     try:
-        return _REGISTRY[name.lower()]
+        return _REGISTRY[device.lower()]
     except KeyError:
         raise DeviceModelError(
-            f"unknown device {name!r}; available: "
+            f"unknown device {device!r}; available: "
             f"{sorted(set(d.name for d in _REGISTRY.values()))}") from None

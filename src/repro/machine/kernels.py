@@ -356,8 +356,8 @@ def time_precond_setup(dev: DeviceModel, preconditioner: Preconditioner,
     over its forward sweep's wavefronts (``sequential=True`` reproduces
     the paper's host-side SuperLU setting); an approximate-inverse
     object exposing ``setup_profile()`` is priced by
-    :func:`time_ainv_setup`; anything else (SSOR, Jacobi, identity) is
-    one diagonal-extraction pass.
+    :func:`time_ainv_setup`; anything else (Jacobi, identity) is one
+    diagonal-extraction pass.
     """
     profile = getattr(preconditioner, "setup_profile", None)
     if profile is not None:
@@ -448,7 +448,7 @@ def iteration_cost(dev: DeviceModel, a: CSRMatrix,
     pcg_block`; ``batch=1`` is one iteration of ``pcg``).
 
     Uses the preconditioner's wavefront solvers when it exposes them
-    (ILU0/ILUK/IC0/SSOR); approximate-inverse preconditioners exposing
+    (ILU0/ILUK/ILUT/IC0); approximate-inverse preconditioners exposing
     ``spmv_profile()`` (SPAI/FSAI) are priced as barrier-free SpMVs;
     diagonal preconditioners are priced as one vector op.  Every kernel
     pays its launches and synchronizations once per sweep, so

@@ -16,7 +16,7 @@ behaviour load-bearing — a :class:`LinkModel` is two scalars:
 
 Collectives are priced with the standard ring-algorithm formulas, and
 every cost **degenerates to exactly zero at N = 1**: a single-device
-fleet must price bitwise-identically to the PR-5 single-server model —
+fleet must price bitwise-identically to the single-server model —
 asserted by the invariant tests.
 """
 
@@ -33,9 +33,7 @@ __all__ = [
     "IB_HDR",
     "ZERO_LINK",
     "get_link",
-    "time_point_to_point",
     "time_allreduce",
-    "time_halo_exchange",
 ]
 
 
@@ -101,13 +99,6 @@ def _check_devices(n_devices: int) -> int:
     return n_devices
 
 
-def time_point_to_point(link: LinkModel, message_bytes: float) -> float:
-    """One message between two devices: latency + serialization."""
-    if message_bytes < 0:
-        raise ValueError("message_bytes must be non-negative")
-    return link.latency + message_bytes / link.bandwidth
-
-
 def time_allreduce(link: LinkModel, n_devices: int,
                    message_bytes: float) -> float:
     """Ring allreduce of ``message_bytes`` across ``n_devices``.
@@ -133,29 +124,3 @@ def time_allreduce(link: LinkModel, n_devices: int,
     return (steps * link.latency
             + steps * (message_bytes / n_devices) / link.bandwidth)
 
-
-def time_halo_exchange(link: LinkModel, n_messages: int,
-                       halo_bytes: float) -> float:
-    """Neighbor halo exchange of a row-sharded SpMV.
-
-    ``n_messages`` is the largest number of point-to-point messages any
-    one device sends+receives at this boundary; ``halo_bytes`` the
-    largest number of bytes any one device moves.  Devices exchange in
-    parallel, so the fleet pays the slowest device's bill.
-
-    **Exactly zero when there is nothing to exchange** (``n_messages ==
-    0``): a partition with no cut edges — e.g. a block-diagonal matrix
-    split at its block boundaries — prices identically to N independent
-    solves, which the invariant tests assert.
-    """
-    n_messages = int(n_messages)
-    if n_messages < 0:
-        raise ValueError("n_messages must be non-negative")
-    if halo_bytes < 0:
-        raise ValueError("halo_bytes must be non-negative")
-    if n_messages == 0:
-        if halo_bytes > 0:
-            raise ValueError("halo_bytes must be zero when no messages "
-                             "are exchanged")
-        return 0.0
-    return n_messages * link.latency + halo_bytes / link.bandwidth

@@ -2,9 +2,10 @@
 
 Complements :mod:`repro.obs.trace`: traces answer "what happened, in
 what order", metrics answer "how much, how often, how long" without
-retaining per-event storage.  The registry is thread-safe (the parallel
-suite runner's workers share it) and bounded — histograms keep running
-moments (count/sum/min/max), never samples.
+retaining per-event storage.  The registry is thread-safe (one lock
+guards every update, so callers may record from several threads) and
+bounded — histograms keep running moments (count/sum/min/max), never
+samples.
 
 Phase timers record **wall-clock and modeled seconds side by side**
 (``phase.<name>.wall_s`` / ``phase.<name>.modeled_s``), so the machine

@@ -206,7 +206,7 @@ def render_report(events: Sequence[TraceEvent]) -> str:
     out: list[str] = [f"run ledger — {s['n_events']} events"]
     if s["suite"]:
         meta = s["suite"]
-        bits = [f"{k}={meta[k]}" for k in ("device", "precond", "parallel",
+        bits = [f"{k}={meta[k]}" for k in ("device", "precond",
                                            "n_matrices", "n_results")
                 if k in meta]
         if bits:

@@ -115,7 +115,7 @@ class TraceEvent:
         One of :data:`EVENT_KINDS`.
     seq:
         Monotone per-recorder sequence number (gap-free emission order —
-        wall clocks can tie under parallel workers, ``seq`` cannot).
+        wall clocks can tie across threads, ``seq`` cannot).
     t_wall:
         ``time.perf_counter()`` at emission, relative to the recorder's
         construction (so traces from different runs are comparable).

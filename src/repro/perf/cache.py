@@ -21,7 +21,7 @@ every sweep.  :class:`ArtifactCache` memoizes them under
 A process-wide default cache is consulted by
 :func:`repro.core.spcg.make_preconditioner` (and therefore by ``spcg``,
 ``robust_spcg``, the grid search and the suite runner).  It is
-thread-safe — the parallel suite runner shares it across workers.
+thread-safe: one lock guards every lookup and insertion.
 Environment knobs: ``REPRO_CACHE=0`` disables it, ``REPRO_CACHE_SIZE``
 resizes it.
 """

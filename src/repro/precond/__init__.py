@@ -8,8 +8,8 @@ Implements the preconditioning stack of the paper from scratch:
 * :mod:`~repro.precond.engine` — the modeled price of level-scheduled
   against partitioned SpTRSV per factor (priced, not run), and
   :class:`~repro.precond.engine.TriangularPreconditioner`, the one
-  forward-sweep / backward-sweep application ILU(0), ILU(K), ILUT, IC(0)
-  and SSOR share (each of them only computes its factors);
+  forward-sweep / backward-sweep application ILU(0), ILU(K), ILUT and
+  IC(0) share (each of them only computes its factors);
 * :mod:`~repro.precond.ilu0` — zero-fill incomplete LU (the cuSPARSE
   baseline in the paper);
 * :mod:`~repro.precond.iluk` — level-of-fill ILU(K) (the SuperLU-based
@@ -21,7 +21,7 @@ Implements the preconditioning stack of the paper from scratch:
   cost and iteration count for perfectly flat parallelism, with
   :func:`~repro.precond.plan.plan_preconditioner` pricing the
   crossover against (sparsified) ILU;
-* Jacobi, SSOR and identity preconditioners as cheap baselines.
+* Jacobi and identity preconditioners as cheap baselines.
 
 All preconditioners implement :class:`~repro.precond.base.Preconditioner`,
 so Algorithm 1 (:func:`repro.solvers.pcg`) is agnostic to the choice.
@@ -30,7 +30,6 @@ so Algorithm 1 (:func:`repro.solvers.pcg`) is agnostic to the choice.
 from .base import Preconditioner
 from .identity import IdentityPreconditioner
 from .jacobi import JacobiPreconditioner
-from .ssor import SSORPreconditioner
 from .triangular import (
     ScheduledTriangularSolver,
     solve_lower_sequential,
@@ -49,7 +48,6 @@ __all__ = [
     "Preconditioner",
     "IdentityPreconditioner",
     "JacobiPreconditioner",
-    "SSORPreconditioner",
     "ScheduledTriangularSolver",
     "TriangularPreconditioner",
     "TrisolvePlan",

@@ -21,9 +21,9 @@ the fences in row order, so its first round alone runs at least as many
 level steps as the level sweep.
 
 :class:`TriangularPreconditioner` is the one application every
-triangular preconditioner shares — ILU(0), ILU(K), ILUT, IC(0) and
-SSOR differ only in the factors they compute: a forward sweep, an
-optional diagonal scale and a backward sweep.
+triangular preconditioner shares — ILU(0), ILU(K), ILUT and IC(0)
+differ only in the factors they compute: a forward sweep and a
+backward sweep.
 """
 
 from __future__ import annotations
@@ -87,14 +87,16 @@ def plan_trisolve(tri: CSRMatrix, *, kind: str = "lower",
     Both modeled costs are recorded (the CI smoke job asserts on the
     gap).  ``n_parts=None`` sweeps :data:`PART_CANDIDATES` and keeps
     the best partitioned candidate; an integer prices that width alone.
-    The plan depends only on the sparsity pattern and the device.
+    *device* is a :class:`~repro.machine.device.DeviceModel`, a preset
+    name or ``None`` (the A100 model).  The plan depends only on the
+    sparsity pattern and the device.
     """
     # Machine imports are lazy: machine.kernels imports precond.base at
     # module scope, so a top-level import here would be cyclic.
-    from ..machine.device import A100
+    from ..machine.device import get_device
     from ..machine.kernels import time_trisolve, time_trisolve_partitioned
 
-    dev = A100 if device is None else device
+    dev = get_device(device)
     t_levels = time_trisolve(dev, *level_profile(tri, kind))
 
     n = tri.n_rows
@@ -116,8 +118,7 @@ def plan_trisolve(tri: CSRMatrix, *, kind: str = "lower",
 
 
 class TriangularPreconditioner(Preconditioner):
-    """``z = U⁻¹ (s ⊙ L⁻¹ r)``: a forward sweep, an optional diagonal
-    scale and a backward sweep.
+    """``z = U⁻¹ L⁻¹ r``: a forward sweep and a backward sweep.
 
     The subclasses compute the factors; this class alone builds the two
     executors and reports what the cost model reads.
@@ -126,29 +127,22 @@ class TriangularPreconditioner(Preconditioner):
     ----------
     lower, upper:
         Factors of the forward and the backward sweep.
+    factor_flops:
+        FLOPs of the numeric factorization, which
+        :func:`repro.machine.kernels.time_precond_setup` prices as one.
     unit_lower:
         *lower* is the strictly-lower part of a unit-lower factor
         (LU's convention); its diagonal is implicitly 1.
-    scale:
-        Per-row scale applied between the sweeps (SSOR's folded
-        ``(2−ω)/ω²·D``), or ``None``.
     lower_schedule, upper_schedule:
         Optional precomputed wavefront schedules of the two factors.
-    factor_flops:
-        FLOPs of the numeric factorization, which
-        :func:`repro.machine.kernels.time_precond_setup` prices as one;
-        ``None`` when nothing is factored.
     """
 
     def __init__(self, lower: CSRMatrix, upper: CSRMatrix, *,
-                 unit_lower: bool = False,
-                 scale: np.ndarray | None = None,
+                 factor_flops: float, unit_lower: bool = False,
                  lower_schedule: LevelSchedule | None = None,
-                 upper_schedule: LevelSchedule | None = None,
-                 factor_flops: float | None = None):
+                 upper_schedule: LevelSchedule | None = None):
         self.lower, self.upper = lower, upper
         self.unit_lower = bool(unit_lower)
-        self.scale = scale
         self.factor_flops = factor_flops
         self._fwd = ScheduledTriangularSolver(
             lower, kind="lower", unit_diagonal=self.unit_lower,
@@ -166,16 +160,13 @@ class TriangularPreconditioner(Preconditioner):
 
     def apply(self, r: np.ndarray, out: np.ndarray | None = None
               ) -> np.ndarray:
-        """``z = U⁻¹ (s ⊙ L⁻¹ r)`` via the two sweeps."""
-        y = self._fwd.solve(r)
-        if self.scale is not None:
-            y = y * (self.scale if y.ndim == 1 else self.scale[:, None])
-        return self._bwd.solve(y, out=out)
+        """``z = U⁻¹ L⁻¹ r`` via the two sweeps."""
+        return self._bwd.solve(self._fwd.solve(r), out=out)
 
     def apply_nnz(self) -> int:
         """Stored factor entries, plus one op per row for an implicit
-        unit diagonal or for the scale."""
-        extra = self.n if self.unit_lower or self.scale is not None else 0
+        unit diagonal."""
+        extra = self.n if self.unit_lower else 0
         return self.lower.nnz + self.upper.nnz + extra
 
     def apply_levels(self) -> tuple[int, int]:

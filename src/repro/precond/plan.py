@@ -112,15 +112,12 @@ def plan_preconditioner(a: CSRMatrix, b: np.ndarray | None = None, *,
     # cyclic through precond/__init__.
     from ..core.spcg import make_preconditioner, spcg
     from ..errors import ReproError
-    from ..machine.device import A100, get_device
+    from ..machine.device import get_device
     from ..machine.kernels import (iteration_cost, time_precond_setup,
                                    time_sparsification)
     from ..solvers.cg import pcg
 
-    if device is None:
-        device = A100
-    elif isinstance(device, str):
-        device = get_device(device)
+    device = get_device(device)
     if b is None:
         rng = np.random.default_rng(seed)
         b = rng.standard_normal(a.n_rows)

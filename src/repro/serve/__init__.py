@@ -15,10 +15,9 @@ server must decide **when to batch, whom to admit, and what to shed**:
   and **continuously batches**: converged columns free slots that
   same-fingerprint arrivals join at the next iteration boundary, so
   block occupancy stays high without perturbing resident columns.
-* :mod:`repro.serve.loadgen` — open-loop Poisson, closed-loop, and
-  correlated per-tenant stream workloads with SLO reporting
-  (throughput, goodput under deadline, occupancy, latency percentiles
-  on wall and modeled clocks).
+* :mod:`repro.serve.loadgen` — open-loop Poisson and closed-loop
+  workloads with SLO reporting (throughput, goodput under deadline,
+  occupancy, latency percentiles on wall and modeled clocks).
 * :mod:`repro.serve.healing` — self-healing policies: checkpointed
   retries with exponential backoff (:class:`RetryPolicy`), a
   per-fingerprint circuit breaker walking the one preconditioner
@@ -31,8 +30,7 @@ server must decide **when to batch, whom to admit, and what to shed**:
 
 from .healing import (BreakerPolicy, BrownoutPolicy, CircuitBreaker,
                       RetryPolicy)
-from .loadgen import (LoadSpec, StreamSpec, poisson_arrivals,
-                      run_loadgen, run_stream_loadgen)
+from .loadgen import LoadSpec, poisson_arrivals, run_loadgen
 from .queue import AdmissionPolicy, RequestQueue
 from .request import (RequestStatus, ServeOutcome, ServeRequest,
                       validate_rhs)
@@ -56,8 +54,6 @@ __all__ = [
     "ServeScheduler",
     "percentile",
     "LoadSpec",
-    "StreamSpec",
     "poisson_arrivals",
     "run_loadgen",
-    "run_stream_loadgen",
 ]

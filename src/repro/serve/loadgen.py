@@ -1,6 +1,6 @@
 """Load generation and SLO measurement for the solver server.
 
-Three canonical arrival disciplines, all on the modeled-device clock:
+Two canonical arrival disciplines, both on the modeled-device clock:
 
 * **Open loop** (``mode="open"``): a Poisson process — exponential
   inter-arrival gaps at ``rate_rps`` requests per modeled second,
@@ -11,14 +11,6 @@ Three canonical arrival disciplines, all on the modeled-device clock:
   submitting its next request when its previous one completes (plus
   ``think_s``).  Arrival pressure self-limits to service capacity, so
   this measures best-case latency rather than overload behaviour.
-* **Correlated streams** (:func:`run_stream_loadgen`): ``n_tenants``
-  independent solve sessions, each marching its *own* drifting matrix
-  (a seeded :class:`~repro.streams.DriftSchedule`) and chaining each
-  step's solution into the next request's warm start ``x0`` — the
-  serve-path twin of :class:`repro.streams.SolveSession`.  Requests
-  within a tenant are temporally correlated (completion-driven, plus
-  ``period_s``), which is exactly the workload shape the amortization
-  levers target and Poisson traffic cannot express.
 
 :func:`run_loadgen` drives a :class:`~repro.serve.scheduler.
 ServeScheduler` with the generated workload and returns its
@@ -35,11 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sparse.csr import CSRMatrix
-from ..streams.drift import DriftSchedule
 from .scheduler import ServeReport, ServeScheduler
 
-__all__ = ["LoadSpec", "StreamSpec", "poisson_arrivals", "run_loadgen",
-           "run_stream_loadgen"]
+__all__ = ["LoadSpec", "poisson_arrivals", "run_loadgen"]
 
 
 @dataclass(frozen=True)
@@ -76,46 +66,6 @@ class LoadSpec:
             raise ValueError("deadline_s must be positive")
 
 
-@dataclass(frozen=True)
-class StreamSpec:
-    """One correlated-stream (per-tenant session) scenario.
-
-    Each of ``n_tenants`` clients owns a base matrix and a seeded
-    :class:`~repro.streams.DriftSchedule` (``drift_magnitude`` steady,
-    optional refactor-scale shock every ``shock_every`` drifted steps),
-    submits ``steps_per_tenant`` requests, and — when ``warm_start``
-    is on — passes each completed step's solution as the next
-    request's ``x0``.  Arrivals are completion-driven with a
-    ``period_s`` gap, so a tenant's requests are serially correlated
-    the way time-stepping clients are.
-    """
-
-    n_tenants: int
-    steps_per_tenant: int
-    period_s: float = 0.0
-    drift_magnitude: float = 1e-6
-    shock_every: int | None = None
-    warm_start: bool = True
-    deadline_s: float | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_tenants < 1:
-            raise ValueError("n_tenants must be positive")
-        if self.steps_per_tenant < 1:
-            raise ValueError("steps_per_tenant must be positive")
-        if self.period_s < 0:
-            raise ValueError("period_s must be non-negative")
-        if self.drift_magnitude < 0:
-            raise ValueError("drift_magnitude must be non-negative")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
-
-    @property
-    def n_requests(self) -> int:
-        return self.n_tenants * self.steps_per_tenant
-
-
 def poisson_arrivals(rate_rps: float, n: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Cumulative arrival times of a Poisson process (modeled s)."""
@@ -123,7 +73,7 @@ def poisson_arrivals(rate_rps: float, n: int,
     return np.cumsum(gaps)
 
 
-def _make_request(matrices: list[CSRMatrix], i: int,
+def _make_request(matrices: list[CSRMatrix],
                   rng: np.random.Generator) -> tuple[CSRMatrix, np.ndarray]:
     a = matrices[int(rng.integers(len(matrices)))]
     b = rng.standard_normal(a.n_rows)
@@ -148,7 +98,7 @@ def run_loadgen(scheduler: ServeScheduler, matrices,
     if spec.mode == "open":
         arrivals = poisson_arrivals(spec.rate_rps, spec.n_requests, rng)
         for i, t in enumerate(arrivals):
-            a, b = _make_request(matrices, i, rng)
+            a, b = _make_request(matrices, rng)
             deadline = (float(t) + spec.deadline_s
                         if spec.deadline_s is not None else None)
             scheduler.submit(a, b, tag=f"open-{i}", arrival_s=float(t),
@@ -164,7 +114,7 @@ def run_loadgen(scheduler: ServeScheduler, matrices,
     def submit_next(t_arrival: float) -> None:
         i = state["submitted"]
         state["submitted"] += 1
-        a, b = _make_request(matrices, i, rng)
+        a, b = _make_request(matrices, rng)
         deadline = (t_arrival + spec.deadline_s
                     if spec.deadline_s is not None else None)
         scheduler.submit(a, b, tag=f"closed-{i}", arrival_s=t_arrival,
@@ -187,79 +137,3 @@ def run_loadgen(scheduler: ServeScheduler, matrices,
     finally:
         scheduler.on_complete = prev_hook
 
-
-class _Tenant:
-    """One stream client: its drifting matrix, fixed RHS, and the
-    last completed solution (the next request's warm start)."""
-
-    __slots__ = ("a", "b", "drift", "step", "x_prev")
-
-    def __init__(self, a: CSRMatrix, b: np.ndarray,
-                 drift: DriftSchedule):
-        self.a = a
-        self.b = b
-        self.drift = drift
-        self.step = 0
-        self.x_prev: np.ndarray | None = None
-
-
-def run_stream_loadgen(scheduler: ServeScheduler, matrices,
-                       spec: StreamSpec) -> ServeReport:
-    """Serve ``n_tenants`` correlated solve streams and return the
-    scheduler's report.
-
-    Tenant ``t`` starts from ``matrices[t % len(matrices)]`` with a
-    standard-Gaussian right-hand side and a tenant-seeded drift
-    schedule; each completion triggers that tenant's next submission
-    ``period_s`` later, carrying the completed solution as ``x0``
-    (when ``warm_start``).  Identical seeds replay identical streams.
-    """
-    matrices = list(matrices)
-    if not matrices:
-        raise ValueError("need at least one matrix")
-    rng = np.random.default_rng(spec.seed)
-    tenants = [
-        _Tenant(matrices[t % len(matrices)],
-                rng.standard_normal(matrices[t % len(matrices)].n_rows),
-                DriftSchedule(seed=spec.seed + 104729 * (t + 1),
-                              magnitude=spec.drift_magnitude,
-                              shock_every=spec.shock_every))
-        for t in range(spec.n_tenants)
-    ]
-    owner: dict[int, int] = {}
-    prev_hook = scheduler.on_complete
-
-    def submit_step(t_idx: int, t_arrival: float) -> None:
-        ten = tenants[t_idx]
-        ten.step += 1
-        ten.a = ten.drift.evolve(ten.a, ten.step)
-        deadline = (t_arrival + spec.deadline_s
-                    if spec.deadline_s is not None else None)
-        rid = scheduler.submit(
-            ten.a, ten.b, tag=f"tenant{t_idx}-s{ten.step}",
-            arrival_s=t_arrival, deadline_s=deadline,
-            x0=ten.x_prev if spec.warm_start else None)
-        owner[rid] = t_idx
-
-    def on_complete(outcome) -> None:
-        if prev_hook is not None:
-            prev_hook(outcome)
-        t_idx = owner.pop(outcome.req_id, None)
-        if t_idx is None:
-            return
-        ten = tenants[t_idx]
-        if outcome.result is not None and outcome.result.converged:
-            ten.x_prev = outcome.result.x
-        if ten.step >= spec.steps_per_tenant:
-            return
-        t_done = (outcome.t_complete if outcome.t_complete is not None
-                  else scheduler.now_s)
-        submit_step(t_idx, t_done + spec.period_s)
-
-    scheduler.on_complete = on_complete
-    try:
-        for t_idx in range(spec.n_tenants):
-            submit_step(t_idx, 0.0)
-        return scheduler.run()
-    finally:
-        scheduler.on_complete = prev_hook

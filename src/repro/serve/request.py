@@ -175,13 +175,6 @@ class ServeOutcome:
         return self.t_complete - self.t_arrival
 
     @property
-    def queue_wait_s(self) -> float:
-        """Modeled time spent queued before dispatch (NaN when shed)."""
-        if self.t_dispatch is None:
-            return float("nan")
-        return self.t_dispatch - self.t_arrival
-
-    @property
     def completed(self) -> bool:
         return self.status is RequestStatus.COMPLETED
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.spcg import make_preconditioner
 from ..errors import QueueFullError
-from ..machine.device import A100, DeviceModel, get_device
+from ..machine.device import DeviceModel, get_device
 from ..machine.kernels import (estimate_request_seconds, iteration_cost,
                                time_abft_check, time_checkpoint,
                                time_residual_check)
@@ -406,11 +406,7 @@ class ServeScheduler:
         self.k = int(k)
         self.criterion = (criterion if criterion is not None
                           else StoppingCriterion.paper_default())
-        if device is None:
-            device = A100
-        elif isinstance(device, str):
-            device = get_device(device)
-        self.device = device
+        self.device = get_device(device)
         self.cache = cache
         self.window = window if window is not None \
             else BatchingWindow.degenerate()

@@ -52,7 +52,7 @@ import numpy as np
 
 from ..core.spcg import make_preconditioner
 from ..core.wavefront_aware import wavefront_aware_sparsify
-from ..machine.device import A100, DeviceModel, get_device
+from ..machine.device import DeviceModel, get_device
 from ..machine.kernels import (iteration_cost, time_deflation_apply,
                                time_deflation_setup, time_precond_setup,
                                time_residual_check, time_spmv,
@@ -285,11 +285,7 @@ class SolveSession:
         self.sparsify = bool(sparsify)
         self.criterion = (criterion if criterion is not None
                           else StoppingCriterion.paper_default())
-        if device is None:
-            device = A100
-        elif isinstance(device, str):
-            device = get_device(device)
-        self.device = device
+        self.device = get_device(device)
         self.cache = cache
         self.warm_start = bool(warm_start)
         self.recycle = int(recycle)

@@ -1,44 +1,23 @@
 """Machine-model invariants for the inter-device link layer.
 
-The fleet's pricing rests on three exact properties: allreduce cost is
-monotone in device count and message size, every link term is exactly
-zero at N=1 (a one-device fleet prices bitwise like the PR-5 single
-server), and a cut-free row partition exchanges exactly zero halo."""
+The fleet's pricing rests on two exact properties: allreduce cost is
+monotone in device count and message size, and every link term is
+exactly zero at N=1 (a one-device fleet prices bitwise like the single
+server)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeviceModelError
-from repro.fleet import (FleetScheduler, halo_exchange_seconds,
-                         plan_row_shards, shard_comm_seconds, shard_matvec)
+from repro.fleet import FleetScheduler
 from repro.machine import (IB_HDR, NVLINK, PCIE4, ZERO_LINK, LinkModel,
-                           get_link, time_allreduce, time_halo_exchange,
-                           time_point_to_point)
+                           get_link, time_allreduce)
 from repro.perf.cache import ArtifactCache
 from repro.serve import ServeScheduler
-from repro.sparse import CSRMatrix, random_spd, stencil_poisson_2d
+from repro.sparse import random_spd
 
 LINKS = (NVLINK, PCIE4, IB_HDR)
-
-
-def _block_diag(blocks):
-    """Block-diagonal CSRMatrix from dense SPD blocks."""
-    n = sum(b.shape[0] for b in blocks)
-    indptr = [0]
-    indices = []
-    data = []
-    off = 0
-    for blk in blocks:
-        k = blk.shape[0]
-        for i in range(k):
-            cols = np.nonzero(blk[i])[0]
-            indices.extend((cols + off).tolist())
-            data.extend(blk[i, cols].tolist())
-            indptr.append(len(indices))
-        off += k
-    return CSRMatrix(np.array(indptr), np.array(indices),
-                     np.array(data, dtype=float), (n, n))
 
 
 class TestAllreduceInvariants:
@@ -68,11 +47,6 @@ class TestAllreduceInvariants:
     def test_single_device_is_exactly_zero(self, link, nbytes):
         assert time_allreduce(link, 1, nbytes) == 0.0
 
-    def test_point_to_point(self):
-        assert time_point_to_point(NVLINK, 0) == NVLINK.latency
-        assert time_point_to_point(NVLINK, 300e9) == pytest.approx(
-            NVLINK.latency + 1.0)
-
     def test_validation(self):
         with pytest.raises(DeviceModelError):
             LinkModel(name="bad", latency=-1e-6, bandwidth=1e9)
@@ -89,74 +63,6 @@ class TestAllreduceInvariants:
         assert get_link("pcie") is PCIE4
         with pytest.raises(DeviceModelError):
             get_link("token-ring")
-
-
-class TestHaloInvariants:
-    def test_no_messages_is_exactly_zero(self):
-        assert time_halo_exchange(NVLINK, 0, 0) == 0.0
-        with pytest.raises(ValueError):
-            time_halo_exchange(NVLINK, 0, 64)
-
-    def test_block_diagonal_partition_has_zero_halo(self):
-        rng = np.random.default_rng(3)
-        blocks = []
-        for _ in range(4):
-            m = rng.standard_normal((8, 8))
-            blocks.append(m @ m.T + 8 * np.eye(8))
-        a = _block_diag(blocks)
-        plan = plan_row_shards(a, 4)  # bounds align with the blocks
-        assert not plan.has_cut_edges
-        assert plan.max_halo_values == 0
-        assert plan.max_halo_messages == 0
-        for link in LINKS:
-            assert halo_exchange_seconds(plan, link) == 0.0
-
-    def test_misaligned_partition_pays(self):
-        a = stencil_poisson_2d(8)
-        plan = plan_row_shards(a, 4)
-        assert plan.has_cut_edges
-        assert halo_exchange_seconds(plan, NVLINK) > 0.0
-
-    def test_single_shard_zero(self):
-        a = stencil_poisson_2d(6)
-        plan = plan_row_shards(a, 1)
-        assert plan.max_halo_values == 0
-        assert halo_exchange_seconds(plan, NVLINK) == 0.0
-
-    def test_partition_rows_balanced(self):
-        eye = lambda n: CSRMatrix.from_dense(np.eye(n))
-        assert plan_row_shards(eye(10), 3).bounds == (0, 4, 7, 10)
-        with pytest.raises(ValueError):
-            plan_row_shards(eye(2), 3)
-
-    def test_shard_matvec_matches_fused_kernel(self):
-        a = random_spd(90, density=0.07, seed=5)
-        plan = plan_row_shards(a, 4)
-        x = np.random.default_rng(1).standard_normal(90)
-        np.testing.assert_array_equal(shard_matvec(a, plan, x),
-                                      a.matvec(x))
-
-
-class TestShardCommCost:
-    def test_single_shard_comm_exactly_zero(self):
-        plan = plan_row_shards(stencil_poisson_2d(6), 1)
-        for link in LINKS:
-            assert shard_comm_seconds(plan, link) == 0.0
-
-    def test_halo_plus_three_allreduces(self):
-        a = stencil_poisson_2d(8)
-        for n_shards in (1, 2, 4):
-            plan = plan_row_shards(a, n_shards)
-            for link in LINKS:
-                for vb in (4, 8):
-                    assert shard_comm_seconds(plan, link, value_bytes=vb) \
-                        == (halo_exchange_seconds(plan, link,
-                                                  value_bytes=vb)
-                            + 3 * time_allreduce(link, n_shards, 8))
-
-    def test_multi_shard_comm_positive(self):
-        plan = plan_row_shards(stencil_poisson_2d(8), 4)
-        assert shard_comm_seconds(plan, NVLINK) > 0.0
 
 
 class TestSingleDeviceFleetBitwise:

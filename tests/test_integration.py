@@ -10,8 +10,7 @@ from repro.datasets import generate, load
 from repro.harness import run_experiment
 from repro.machine import KernelProfiler, iteration_cost
 from repro.precond import (IC0Preconditioner, ILUKPreconditioner,
-                           ILUTPreconditioner, JacobiPreconditioner,
-                           SSORPreconditioner)
+                           ILUTPreconditioner, JacobiPreconditioner)
 from repro.sparse import read_matrix_market, write_matrix_market
 
 from test_core_algorithm2 import front_matrix
@@ -42,7 +41,6 @@ class TestFullPipeline:
             IC0Preconditioner(a),
             ILUTPreconditioner(a, p=8, drop_tol=1e-3),
             JacobiPreconditioner(a),
-            SSORPreconditioner(a),
         ]
         for m in preconds:
             res = pcg(a, b, m, criterion=crit)
@@ -51,7 +49,7 @@ class TestFullPipeline:
                                        err_msg=m.name)
 
     def test_preconditioner_ordering_by_quality(self):
-        """ILU(K) ≤ ILU(0) ≤ SSOR/Jacobi ≤ plain CG in iterations."""
+        """ILU(K) ≤ ILU(0) ≤ Jacobi ≤ plain CG in iterations."""
         a = generate("2d3d", 900, seed=5)
         b = a.matvec(np.ones(a.n_rows))
         crit = StoppingCriterion(rtol=1e-10, atol=0.0, max_iters=5000)

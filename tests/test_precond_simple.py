@@ -1,11 +1,10 @@
-"""Tests for Jacobi, SSOR and identity preconditioners."""
+"""Tests for Jacobi and identity preconditioners."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SingularFactorError
-from repro.precond import (IdentityPreconditioner, JacobiPreconditioner,
-                           SSORPreconditioner)
+from repro.precond import IdentityPreconditioner, JacobiPreconditioner
 from repro.solvers import cg, pcg
 from repro.sparse import CSRMatrix
 
@@ -90,48 +89,3 @@ class TestJacobi:
         out = np.empty_like(r)
         assert m.apply(r, out=out) is out
 
-
-class TestSSOR:
-    def test_apply_matches_dense_formula(self, poisson16, rng):
-        omega = 1.2
-        m = SSORPreconditioner(poisson16, omega=omega)
-        dense = poisson16.to_dense()
-        d = np.diag(np.diag(dense))
-        low = np.tril(dense, -1)
-        up = np.triu(dense, 1)
-        # M = ω/(2-ω) · (D/ω + L) (D/ω)^-1 (D/ω + U)
-        m_dense = (omega / (2 - omega)) * (d / omega + low) @ \
-            np.linalg.inv(d / omega) @ (d / omega + up)
-        r = rng.standard_normal(poisson16.n_rows)
-        np.testing.assert_allclose(m.apply(r),
-                                   np.linalg.solve(m_dense, r), atol=1e-8)
-
-    def test_omega_range_validated(self, poisson16):
-        for bad in (0.0, 2.0, -1.0, 2.5):
-            with pytest.raises(ValueError):
-                SSORPreconditioner(poisson16, omega=bad)
-
-    def test_accelerates_cg(self, poisson16):
-        b = poisson16.matvec(np.ones(poisson16.n_rows))
-        plain = cg(poisson16, b)
-        ssor = pcg(poisson16, b, SSORPreconditioner(poisson16))
-        assert ssor.converged
-        assert ssor.n_iters < plain.n_iters
-
-    def test_wavefront_structure_matches_matrix(self, poisson16):
-        m = SSORPreconditioner(poisson16)
-        # SSOR sweeps run on tril(A)/triu(A): same wavefronts as ILU(0).
-        assert m.apply_levels() == (31, 31)
-
-    def test_zero_diagonal_rejected(self):
-        a = CSRMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(SingularFactorError):
-            SSORPreconditioner(a)
-
-    def test_denormal_diagonal_rejected(self):
-        # Same relative pivot sweep as Jacobi: a float32 denormal
-        # passes ``d == 0`` but must fail the dtype-aware test.
-        dense = np.array([[1.0, 0.0], [0.0, 1e-40]], dtype=np.float32)
-        a = CSRMatrix.from_dense(dense)
-        with pytest.raises(SingularFactorError):
-            SSORPreconditioner(a)

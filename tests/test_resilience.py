@@ -367,7 +367,7 @@ class TestFallbackLadder:
         assert "jacobi" not in [r.name for r in default_ladder("jacobi")]
 
     @pytest.mark.parametrize("kind", ["ilu0", "iluk", "ic0", "spai",
-                                      "fsai", "ssor", "jacobi"])
+                                      "fsai", "jacobi"])
     def test_one_downgrade_table(self, kind):
         # The ladder's preconditioner rungs below the unsparsified one
         # are exactly the circuit breaker's downgrades: one table.

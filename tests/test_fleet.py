@@ -4,6 +4,8 @@ Includes the aggregation regression suite: fleet occupancy and latency
 percentiles must weight by per-device busy time / pool the latency
 population — never naive-average per-device figures."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,17 @@ class TestAggregationRegression:
         assert np.isnan(fleet.mean_occupancy)
         assert np.isnan(fleet.latency_percentile(99))
         assert fleet.makespan_s == 0.0
+
+    def test_empty_reports_write_nan_as_null(self):
+        # The serve and fleet summaries share one NaN → null rule, so
+        # both stay strict JSON when nothing completed.
+        idle = ServeReport(outcomes=[], dispatches=[], makespan_s=0.0)
+        fleet = FleetReport(device_reports=[idle, idle])
+        for summary in (idle.as_dict(), fleet.as_dict()):
+            json.dumps(summary, allow_nan=False)
+            assert summary["mean_occupancy"] is None
+            assert summary["latency_modeled_s"] == \
+                {"p50": None, "p95": None, "p99": None}
 
     def test_pooled_percentile_matches_global_observer(self):
         rng = np.random.default_rng(4)

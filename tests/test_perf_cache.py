@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import run_interleaved
 from repro.core import make_preconditioner, sparsify_magnitude, spcg
 from repro.perf import (ArtifactCache, cache_stats, cached_level_schedule,
                         get_cache, matrix_fingerprint, structure_fingerprint,
@@ -145,6 +146,30 @@ class TestArtifactCache:
         # All callers observe a value and the stored entry is one object.
         assert len(results) == 8
         assert c.stats.lookups == 8 and len(c) == 1
+
+    def test_thread_safety_under_eviction(self):
+        # Four threads cycle twelve keys through a four-entry cache: every
+        # lookup is counted once and returns its key's artifact, and the
+        # bound holds.  Racing misses may both store one key, so entries
+        # made (held plus evicted) never exceed the misses.
+        c = ArtifactCache(maxsize=4)
+        keys = [f"fp{i}" for i in range(12)]
+        wrong = []
+
+        def worker(t):
+            for r in range(60):
+                fp = keys[(5 * t + r) % len(keys)]
+                got = c.get_or_compute("k", (fp, 1), lambda: fp.upper())
+                if got != fp.upper():
+                    wrong.append((fp, got))
+
+        for _ in range(10):
+            run_interleaved(worker, 4)
+        assert wrong == []
+        assert c.stats.lookups == 2400
+        assert len(c) <= 4
+        assert len(c) + c.stats.evictions <= c.stats.misses
+        assert c.stats.misses >= len(keys)
 
 
 class TestDefaultCachePlumbing:

@@ -14,7 +14,6 @@ showing (a) both attack the same bottleneck, (b) they compose, and
 The wall-clock benchmark times the aggregation transformation.
 """
 
-import numpy as np
 from conftest import emit, study_names
 
 from repro.core import wavefront_aware_sparsify

@@ -20,7 +20,6 @@ built on.
 """
 
 import numpy as np
-import pytest
 from conftest import emit
 
 from repro.core import exact_condition_number, sparsify_magnitude

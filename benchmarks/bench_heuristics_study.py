@@ -31,7 +31,6 @@ SMALL = study_names()
 
 
 def test_ratio_ladder_extremes(benchmark):
-    rows = []
     n_low_change = 0
     n_zero_change = 0
     n_degraded = 0

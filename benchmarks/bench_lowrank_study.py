@@ -9,7 +9,6 @@ registry's factors at two leaf sizes.
 The wall-clock benchmark times the block-rank probe.
 """
 
-import numpy as np
 from conftest import emit, study_names
 
 from repro.datasets import load

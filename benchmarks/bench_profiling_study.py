@@ -15,7 +15,6 @@ rising utilization exactly when they speed up.
 The wall-clock benchmark times the profiler itself.
 """
 
-import numpy as np
 from conftest import emit, scaled_matrix
 
 from repro.core import wavefront_aware_sparsify

@@ -16,6 +16,155 @@ from ..util import segment_sum
 
 __all__ = ["CSRMatrix"]
 
+#: Narrowest block summed slot by slot: at 4 and 6 columns the slot sums
+#: lost to ``reduceat`` on 31 and 5 of the registry patterns that keep a
+#: plan (up to x1.12 per product), at 8 columns on 2, by at most x1.04.
+_SLOT_MIN_WIDTH = 8
+#: Fewest rows per NumPy call of the slot sums at which a pattern keeps
+#: its plan.  A call on strided ``(B, rows)`` views costs about 4 us of
+#: setup whatever its size, what ``reduceat`` spends on some 50 rows of
+#: eight columns, and the adds move each addend more often than
+#: ``reduceat`` does: on the registry's patterns the slot sums broke even
+#: near 100 rows per call at eight columns.  Patterns with many row
+#: lengths for their order (few rows per group and slot) keep
+#: ``reduceat``.
+_MIN_ROWS_PER_CALL = 128
+#: Rows of at least this many entries: NumPy's pairwise summation splits
+#: their 129 or more addends in halves, so ``reduceat`` itself sums them.
+_SPLIT_ROW = 130
+#: Memory order of the eight slots of a block of partial sums (slot
+#: ``k + 1`` holds ``r_k``): NumPy's ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
+#: is then three adds of a block's second half into its first.
+_BLOCK = (1, 5, 3, 7, 2, 6, 4, 8)
+
+
+class _SlotPlan:
+    """Where each product of a block SpMV goes for the slot sums; built
+    from the pattern alone, so writes into ``data`` need no rebuild.
+
+    ``np.add.reduceat`` sums a row of ``L`` entries as its first entry
+    plus NumPy's pairwise sum of the other ``n = L − 1``: left to right
+    from −0.0 when ``n < 8``; else eight strided partial sums over the
+    first ``8q`` addends (``q = n // 8`` blocks of eight), combined,
+    then the ``n % 8`` left over, left to right; ``n > 128`` splits the
+    row in halves.  Rows that make the same additions in the same order
+    form a group: rows of at most 8 entries (``q = 0``), one group per
+    ``q`` from 1 to 16, and the split rows.  A group's rows are ordered
+    longest first, and its products are laid out slot by slot: slot
+    ``k`` holds the ``k``-th product of every row longer than ``k``, a
+    prefix of the group, so one whole-array add on ``(B, rows)`` views
+    makes one of the additions for all of them (:func:`_sum_group`);
+    the ``8q`` slots of the partial sums, which every row of a ``q ≥ 1``
+    group has, lie in blocks of eight in ``_BLOCK`` order.  The split
+    rows keep their products contiguous and their ``reduceat`` offsets.
+
+    ``order`` is the products' positions in ``data``, ``cols`` their
+    columns (``indices[order]``), ``inverse`` each row's position in the
+    grouped order.  ``groups`` holds each slot group's ``q``, rows,
+    first product and the ``(start, stop)`` of each prefix slot (every
+    slot for ``q = 0``, the left-over addends otherwise); ``split`` the
+    split rows' first row, first product and offsets, or ``None``;
+    ``calls`` counts the NumPy calls of :meth:`row_sums`.
+    """
+
+    __slots__ = ("order", "cols", "inverse", "groups", "split", "calls")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, n_cols: int):
+        lengths = np.diff(indptr)
+        n = lengths.size
+        itype = (np.int32 if max(indices.size, n, n_cols) < 2 ** 31
+                 else np.int64)
+        group = np.where(lengths <= 8, 0, (lengths - 1) // 8)
+        group[lengths >= _SPLIT_ROW] = _SPLIT_ROW
+        rows = np.lexsort((-lengths, group))
+        cuts = (np.flatnonzero(np.diff(group[rows])) + 1).tolist()
+        edges = [0, *cuts, n] if n else []
+        parts, self.groups, self.split = [], [], None
+        e0, self.calls = 0, 1
+        for r0, r1 in zip(edges, edges[1:]):
+            block = rows[r0:r1]
+            starts, lens = indptr[block], lengths[block]
+            q = int(group[block[0]])
+            if q == _SPLIT_ROW:
+                offsets = np.cumsum(lens) - lens
+                parts.append(np.arange(int(lens.sum()))
+                             + np.repeat(starts - offsets, lens))
+                self.split = (r0, e0, offsets)
+                e0 += parts[-1].size
+                self.calls += 1
+                continue
+            g0 = e0
+            if q:
+                # Slot 0 and the 8q slots of partial sums: every row has them.
+                for k in [0] + [8 * m + k for m in range(q) for k in _BLOCK]:
+                    parts.append(starts + k)
+                e0 += (8 * q + 1) * starts.size
+            first = 8 * q + 1 if q else 0
+            widths = np.searchsorted(-lens, -np.arange(first, lens[0]))
+            prefix = []
+            for k, w in enumerate(widths.tolist(), first):
+                parts.append(starts[:w] + k)
+                prefix.append((e0, e0 + w))
+                e0 += w
+            self.groups.append((q, r0, r1, g0, prefix))
+            # q - 1 block adds, 3 halvings, the prefix adds and the last
+            # add; for q = 0 at most the last add, a copy and a fill
+            # beside the adds of the prefix slots after the first two.
+            self.calls += len(prefix) + (q + 3 if q else 1)
+        self.order = np.concatenate(parts or [np.zeros(0, np.int64)]
+                                    ).astype(itype)
+        self.cols = indices[self.order].astype(itype)
+        self.inverse = np.empty(n, dtype=itype)
+        self.inverse[rows] = np.arange(n, dtype=itype)
+
+    def row_sums(self, acc: np.ndarray) -> np.ndarray:
+        """Row sums of the float64 ``(B, nnz)`` products *acc*, laid out
+        in ``order``, as a ``(B, n_rows)`` array in row order.  *acc* is
+        scratch: the sums accumulate in its slots."""
+        y = np.empty((acc.shape[0], self.inverse.size))
+        for q, r0, r1, e0, prefix in self.groups:
+            _sum_group(acc, q, e0, prefix, y[:, r0:r1])
+        if self.split is not None:
+            r0, e0, offsets = self.split
+            y[:, r0:] = np.add.reduceat(acc[:, e0:], offsets, axis=-1)
+        return y.take(self.inverse, -1)
+
+
+def _sum_group(acc: np.ndarray, q: int, e0: int, prefix: list,
+               out: np.ndarray) -> None:
+    """Sum the rows of one slot group of :class:`_SlotPlan` into *out*,
+    ``(B, rows)``, with ``reduceat``'s additions in its order, each one
+    whole-array add on 2-D views of *acc* (NumPy buffers 3-D strided
+    operands, at several times the cost); the slots are overwritten.
+
+    ``p`` accumulates each row's pairwise sum of its addends: for
+    ``q = 0`` it is slot 1 (−0.0 + a is a, so it starts as the first
+    addend); for ``q ≥ 1`` the first block of partial sums, into which
+    the other blocks are added and whose halves are then combined.  The
+    prefix slots are added into ``p`` as far as each reaches, and slot 0
+    last: rows with one entry copy it and empty rows read 0.0."""
+    c = out.shape[1]
+    if q:
+        head, r = acc[:, e0:e0 + c], acc[:, e0 + c:e0 + 9 * c]
+        for lo in range(e0 + 9 * c, e0 + (8 * q + 1) * c, 8 * c):
+            np.add(r, acc[:, lo:lo + 8 * c], out=r)
+        for h in (4, 2, 1):
+            np.add(r[:, :h * c], r[:, h * c:2 * h * c], out=r[:, :h * c])
+        p, tail = r[:, :c], prefix
+    else:
+        # Slots 0 and 1; an empty view where every row is shorter.
+        head, p = (acc[:, lo:hi] for lo, hi in (prefix + [(0, 0)] * 2)[:2])
+        tail = prefix[2:]
+    for lo, hi in tail:
+        w = hi - lo
+        np.add(p[:, :w], acc[:, lo:hi], p[:, :w])
+    w0, w1 = head.shape[1], p.shape[1]
+    np.add(head[:, :w1], p, out[:, :w1])
+    if w0 > w1:
+        out[:, w1:w0] = head[:, w1:]
+    if c > w0:
+        out[:, w0:] = 0.0
+
 
 class CSRMatrix:
     """Sparse matrix in compressed sparse row format (Figure 1b of the paper).
@@ -34,7 +183,8 @@ class CSRMatrix:
         When ``True`` (default) validate the format invariants.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "_rows_nonempty")
+    __slots__ = ("indptr", "indices", "data", "shape", "_rows_nonempty",
+                 "_block_products", "_block_plan")
 
     def __init__(self, indptr, indices, data, shape: tuple[int, int], *,
                  check: bool = True):
@@ -45,6 +195,10 @@ class CSRMatrix:
             raise ShapeError(f"invalid shape {shape!r}")
         self.shape = (int(shape[0]), int(shape[1]))
         self._rows_nonempty: bool | None = None
+        # Block products of the slot route's width, counted up to the
+        # second, which builds the slot plan if the pattern pays for it.
+        self._block_products = 0
+        self._block_plan: _SlotPlan | None = None
         if check:
             self.check_format()
 
@@ -189,32 +343,67 @@ class CSRMatrix:
     def _spmv(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """Row sums of ``data * x[indices]`` for a 1-D or ``(n, B)`` *x*.
 
-        One path for both: a block is worked on as its transpose
-        ``xᵀ``, ``(B, n)``, so each right-hand side is one contiguous
-        row (``.T`` leaves a vector as it is).  One ``take`` gathers
-        along those rows, one in-place multiply by ``data`` runs along
-        them, and one ``np.add.reduceat`` over the row offsets
-        ``indptr[:-1]`` sums each matrix row of each right-hand side
-        with the pairwise additions of the 1-D call; the ``(B, n)``
+        A block is worked on as its transpose ``xᵀ``, ``(B, n)``, so
+        each right-hand side is one contiguous row (``.T`` leaves a
+        vector as it is).  One ``take`` gathers along those rows, one
+        in-place multiply by ``data`` runs along them, and the ``(B, n)``
         sums come back as the column-major ``(n, B)`` block ``.T``.
-        The offsets are valid ``reduceat`` offsets only when every row
-        stores an entry; the check runs on the first product and is
-        kept (the pattern is never mutated in place; only ``data`` is).
-        A matrix with an empty row goes through
-        :func:`~repro.util.segment_sum`, whose masking keeps ``reduceat``
-        off empty segments.  Scratch is allocated per call: cached
-        matrices are shared across threads.
+        Two routes sum the rows, with the same additions in the same
+        order, so every column of every product is bitwise the 1-D call
+        on that column; the route depends only on the block width and
+        on what earlier block products left on the matrix:
+
+        * ``reduceat``, for vectors, blocks narrower than
+          ``_SLOT_MIN_WIDTH`` and every block until the matrix holds a
+          slot plan: one ``np.add.reduceat`` over the row offsets
+          ``indptr[:-1]``, one inner-loop call per row and right-hand
+          side.  The offsets are valid ``reduceat`` offsets only when
+          every row stores an entry; the check runs on the first
+          product and is kept (the pattern is never mutated in place;
+          only ``data`` is).  A matrix with an empty row goes through
+          :func:`~repro.util.segment_sum`, whose masking keeps
+          ``reduceat`` off empty segments.
+        * the slot sums, for blocks of ``_SLOT_MIN_WIDTH`` columns or
+          more once the matrix holds a :class:`_SlotPlan`: the gather
+          follows the plan's order, the rows of each group are summed
+          by whole-array adds over their slots (:func:`_sum_group`),
+          and one ``take`` restores row order.  The plan is built from
+          the pattern at the second such product and kept if it makes
+          at least ``_MIN_ROWS_PER_CALL`` rows per NumPy call; a matrix
+          that makes one block product keeps none.
+
+        Scratch is allocated per call: cached matrices are shared
+        across threads.
         """
         if self._rows_nonempty is None:
             self._rows_nonempty = bool(self.n_rows) and bool(
                 (self.indptr[1:] > self.indptr[:-1]).all())
         dtype = np.result_type(self.data.dtype, x.dtype)
-        prod = x.T.take(self.indices, -1)
-        prod = np.multiply(prod, self.data,
+        plan = None
+        if x.ndim == 2 and x.shape[1] >= _SLOT_MIN_WIDTH:
+            # Unlocked: threads racing here at worst build the same plan
+            # twice, and each product reads the plan once.
+            plan = self._block_plan
+            if plan is None and self._block_products < 2:
+                self._block_products += 1
+                if self._block_products == 2:
+                    plan = _SlotPlan(self.indptr, self.indices, self.n_cols)
+                    if plan.calls * _MIN_ROWS_PER_CALL > self.n_rows:
+                        plan = None
+                    self._block_plan = plan
+        if plan is not None:
+            prod = x.T.take(plan.cols, -1)
+            values = self.data.take(plan.order)
+        else:
+            prod = x.T.take(self.indices, -1)
+            values = self.data
+        prod = np.multiply(prod, values,
                            out=prod if prod.dtype == dtype else None)
         # float32 products are summed in float64, as segment_sum does.
         acc = prod.astype(np.float64, copy=False)
-        if self._rows_nonempty:
+        if plan is not None:
+            y = plan.row_sums(acc)
+        elif self._rows_nonempty:
             y = np.add.reduceat(acc, self.indptr[:-1], axis=-1)
         else:
             y = np.empty(acc.shape[:-1] + (self.n_rows,))
@@ -245,15 +434,17 @@ class CSRMatrix:
                ) -> np.ndarray:
         """Sparse matrix–dense block product ``Y = A @ X``, ``X`` (n, B).
 
-        The batched SpMV of the multi-RHS solver: one gather, multiply
-        and row reduction serve all ``B`` columns.  The kernel works on
-        ``Xᵀ`` with each right-hand side a contiguous row — free for a
+        The batched SpMV of the multi-RHS solver: one gather and one
+        multiply serve all ``B`` columns.  The kernel works on ``Xᵀ``
+        with each right-hand side a contiguous row — free for a
         column-major ``X``, one transposing copy for any other layout —
-        and returns the column-major ``(n, B)`` result.  Each column of
-        the result is bitwise identical to :meth:`matvec` on that
-        column alone (``reduceat`` sums each row of each right-hand
-        side with the 1-D call's pairwise additions), so block solves
-        decompose exactly into single-RHS ones.
+        and returns the column-major ``(n, B)`` result.  The rows are
+        summed by ``reduceat`` or, from a matrix's second block of
+        ``_SLOT_MIN_WIDTH`` columns or more, by the slot sums (see
+        :meth:`_spmv`); both make the 1-D call's additions in its
+        order, so each column of the result is bitwise identical to
+        :meth:`matvec` on that column alone and block solves decompose
+        exactly into single-RHS ones.
         """
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[0] != self.n_cols:

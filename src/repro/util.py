@@ -36,8 +36,9 @@ def segment_sum(values: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     ``(start, end)`` pairs, and returns the element *at* the offset for
     an empty segment, so empty segments are left out of the reduction
     and yield exactly 0.0; segments need not be adjacent or ordered.
-    This is the row-sum kernel of :meth:`repro.sparse.CSRMatrix.matvec`
-    and ``matmat`` and of the sparse norms.
+    This is the row-sum kernel of the sparse norms and, for a matrix
+    with an empty row, of :meth:`repro.sparse.CSRMatrix.matvec` and of
+    ``matmat``'s ``reduceat`` route.
 
     Parameters
     ----------

@@ -99,8 +99,10 @@ class TestBlockSpMVGuard:
     fancy-indexed gather, out-of-place broadcast multiply and checked
     ``segment_sum`` it replaced, and against eight ``matvec`` calls.  A
     ``take`` gather, an in-place multiply and one ``reduceat`` over the
-    row offsets measure x1.4-2.3 faster than the replaced kernel and
-    1.1-1.4x the time of eight vectors in this suite's process; the
+    row offsets measured x1.4-2.3 faster than the replaced kernel and
+    1.1-1.4x the time of eight vectors in this suite's process (x2.0 and
+    0.84-0.98x on a later host); the slot sums, which the timed products
+    after the second take, measure x3.5 and 0.85-0.91x there.  The
     replaced kernel is x1 of itself, so the first threshold rejects it
     whatever the host's allocator does to the second ratio."""
 
@@ -135,6 +137,28 @@ class TestBlockSpMVGuard:
             f"8-column matmat {t_block * 1e6:.0f} us costs "
             f"x{t_block / t_eight:.2f} the time of 8 matvecs "
             f"({t_eight * 1e6:.0f} us)")
+
+
+class TestSlotSumGuard:
+    """An 8-column ``matmat`` on the guard matrix (rows of at most 5
+    entries), once its second block product has built the slot plan,
+    against one ``matvec``.  With one ``reduceat`` call per row and
+    column the block measured x5.9-6.7 a vector (median of 15
+    alternating rounds, three runs on 2 vCPUs of an Intel Xeon); the
+    slot sums measure x3.9-4.1, and the threshold rejects the per-row
+    reduction."""
+
+    def test_block_costs_few_vectors(self, guard_matrix, rng):
+        a = guard_matrix
+        block = np.asfortranarray(rng.standard_normal((a.n_rows, 8)))
+        v = np.ascontiguousarray(block[:, 0])
+        y = a.matmat(block)
+        np.testing.assert_array_equal(a.matmat(block), y)
+        np.testing.assert_array_equal(y[:, 0], a.matvec(v))
+        ratio = _median_round_ratio(lambda: a.matvec(v),
+                                    lambda: a.matmat(block))
+        assert ratio <= 5.0, (
+            f"8-column matmat costs x{ratio:.2f} one matvec")
 
 
 class TestCacheAmortizationGuard:

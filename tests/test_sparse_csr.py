@@ -1,16 +1,19 @@
 """Tests for the CSR container against dense/SciPy oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.sparse.csr as csr_module
 from repro.errors import ShapeError, SparseFormatError
-from repro.sparse import COOMatrix, CSRMatrix
+from repro.sparse import COOMatrix, CSRMatrix, stencil_poisson_2d
 from repro.util import segment_sum
 
 sp = pytest.importorskip("scipy.sparse")
 
-from conftest import random_csr  # noqa: E402
+from conftest import random_csr, run_interleaved  # noqa: E402
 
 
 class TestConstructionValidation:
@@ -194,6 +197,138 @@ class TestLeanSpMV:
         b = CSRMatrix(np.zeros(1, dtype=np.int64), np.array([], dtype=int),
                       np.array([]), (0, 4))
         _assert_bitwise(b.matvec(np.ones(4)), np.zeros(0))
+        # The slot sums, forced on: two products build and use a plan.
+        with mock.patch.object(csr_module, "_MIN_ROWS_PER_CALL", 0):
+            for m, want in ((a, np.zeros((3, 8))), (b, np.zeros((0, 8)))):
+                for _ in range(3):
+                    _assert_bitwise(m.matmat(np.ones((m.n_cols, 8))), want)
+                assert m._block_plan is not None
+
+
+def _signed(rng, shape, dtype):
+    """Magnitudes 1e-8 to 1e8 of both signs, a tenth of them signed
+    zeros."""
+    v = (rng.choice([-1.0, 1.0], size=shape)
+         * 10.0 ** rng.uniform(-8.0, 8.0, size=shape))
+    zero = rng.random(shape) < 0.1
+    v[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    return v.astype(dtype)
+
+
+@st.composite
+def slot_case(draw):
+    """A CSR matrix whose rows store 0 to 140 entries: empty rows, rows
+    of every branch of NumPy's pairwise summation (fewer than 8 addends
+    after the first, 8 to 128 in blocks of eight plus a tail, and more,
+    which ``reduceat`` itself sums), values and a block of 2 to 8
+    columns in float32 or float64, in C, Fortran or strided layout, and
+    maybe one ``inf`` or ``nan`` in the block."""
+    lengths = draw(st.lists(st.one_of(st.integers(0, 8), st.integers(9, 129),
+                                      st.integers(130, 140)),
+                            min_size=1, max_size=16))
+    n_cols = draw(st.integers(max(max(lengths), 1), 180))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    indices = [np.sort(rng.choice(n_cols, size=k, replace=False))
+               for k in lengths]
+    a = CSRMatrix(np.concatenate(([0], np.cumsum(lengths))),
+                  np.concatenate(indices).astype(np.int64),
+                  _signed(rng, sum(lengths),
+                          draw(st.sampled_from([np.float32, np.float64]))),
+                  (len(lengths), n_cols))
+    width = draw(st.integers(2, 8))
+    wide = _signed(rng, (n_cols, 2 * width),
+                   draw(st.sampled_from([np.float32, np.float64])))
+    x = {"C": np.ascontiguousarray(wide[:, :width]),
+         "F": np.asfortranarray(wide[:, :width]),
+         "strided": wide[:, ::2]}[draw(st.sampled_from(["C", "F",
+                                                         "strided"]))]
+    poison = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    if poison is not None:
+        x[rng.integers(n_cols), rng.integers(width)] = poison
+    return a, x
+
+
+def _assert_same_sums(got, want):
+    """Equal values and dtype, NaN where NaN, and the same sign bit
+    wherever the value is a number (signed zeros included)."""
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    num = ~np.isnan(want)
+    np.testing.assert_array_equal(np.signbit(got[num]), np.signbit(want[num]))
+
+
+class TestSlotSums:
+    """The block route of ``matmat``: the slot sums over a cached plan
+    add each row's products in ``reduceat``'s order, so every column is
+    bitwise ``matvec`` on that column."""
+
+    @given(slot_case())
+    @settings(max_examples=150, deadline=None)
+    def test_columns_equal_matvec(self, case):
+        a, x = case
+        # Every drawn width and pattern takes the slot route.
+        with np.errstate(all="ignore"), \
+                mock.patch.object(csr_module, "_SLOT_MIN_WIDTH", 2), \
+                mock.patch.object(csr_module, "_MIN_ROWS_PER_CALL", 0):
+            first, second = a.matmat(x), a.matmat(x)
+            assert isinstance(a._block_plan, csr_module._SlotPlan)
+            cols = [a.matvec(x[:, j]) for j in range(x.shape[1])]
+        for y in (first, second):
+            for j, want in enumerate(cols):
+                _assert_same_sums(y[:, j], want)
+        # An inf or nan reaches exactly the rows that store its column.
+        bad_x = ~np.isfinite(x)
+        rows = np.repeat(np.arange(a.n_rows), a.row_lengths())
+        for j in range(x.shape[1]):
+            stores = np.zeros(a.n_rows, dtype=bool)
+            stores[rows[np.isin(a.indices, np.flatnonzero(bad_x[:, j]))]] = True
+            np.testing.assert_array_equal(~np.isfinite(second[:, j]), stores)
+
+    def test_one_block_product_keeps_no_plan(self, rng):
+        a = stencil_poisson_2d(40)
+        width = csr_module._SLOT_MIN_WIDTH
+        a.matvec(rng.standard_normal(a.n_cols))
+        a.matmat(rng.standard_normal((a.n_cols, width - 1)))
+        a.matmat(rng.standard_normal((a.n_cols, width)))
+        assert a._block_plan is None
+        a.matmat(rng.standard_normal((a.n_cols, width)))
+        assert isinstance(a._block_plan, csr_module._SlotPlan)
+
+    def test_pattern_with_few_rows_per_call_keeps_reduceat(self, rng):
+        a = random_csr(rng, 60, 60, density=0.3)
+        block = rng.standard_normal((60, csr_module._SLOT_MIN_WIDTH))
+        y = a.matmat(block)
+        _assert_bitwise(a.matmat(block), y)
+        assert a._block_plan is None and a._block_products == 2
+
+    def test_shared_matrix_across_threads(self, rng):
+        a = stencil_poisson_2d(40)
+        block = rng.standard_normal((a.n_cols, csr_module._SLOT_MIN_WIDTH))
+        want = CSRMatrix(a.indptr, a.indices, a.data, a.shape).matmat(block)
+        got = [[] for _ in range(6)]
+
+        def worker(t):
+            for _ in range(5):
+                got[t].append(a.matmat(block))
+
+        run_interleaved(worker, 6)
+        assert isinstance(a._block_plan, csr_module._SlotPlan)
+        for y in (y for ys in got for y in ys):
+            _assert_bitwise(y, want)
+
+    def test_plan_follows_data_written_in_place(self, rng):
+        a = stencil_poisson_2d(40)
+        block = np.asfortranarray(
+            rng.standard_normal((a.n_cols, csr_module._SLOT_MIN_WIDTH)))
+        a.matmat(block)
+        a.matmat(block)
+        assert a._block_plan is not None
+        a.data[:] = rng.standard_normal(a.nnz)
+        fresh = CSRMatrix(a.indptr, a.indices, a.data.copy(), a.shape)
+        y = a.matmat(block)
+        _assert_bitwise(y, fresh.matmat(block))
+        for j in range(block.shape[1]):
+            _assert_bitwise(y[:, j], fresh.matvec(block[:, j]))
 
 
 class TestTransforms:

@@ -63,8 +63,9 @@ def _spd_from_edges(rows: np.ndarray, cols: np.ndarray,
     # and a 1e-12 pivot would explode the condition-number proxy.
     diag[diag < 1e-10] = 1.0
     dmask = rid == a.indices
-    a.data[dmask] = diag[rid[dmask]]
-    return a
+    data = a.data.copy()
+    data[dmask] = diag[rid[dmask]]
+    return CSRMatrix(a.indptr, a.indices, data, a.shape, check=False)
 
 
 def _grid_edges_2d(nx: int, ny: int,
@@ -220,8 +221,9 @@ def gen_circuit(n: int, seed: int, *, decades: float = 6.0,
     a = _spd_from_edges(i, j, w, n, dominance=0.01)
     rid = np.repeat(np.arange(n, dtype=np.int64), a.row_lengths())
     dmask = rid == a.indices
-    a.data[dmask] += leak[rid[dmask]]
-    return a
+    data = a.data.copy()
+    data[dmask] += leak[rid[dmask]]
+    return CSRMatrix(a.indptr, a.indices, data, a.shape, check=False)
 
 
 def gen_cfd(n: int, seed: int, *, eps: float = 0.03) -> CSRMatrix:

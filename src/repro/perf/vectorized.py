@@ -81,7 +81,10 @@ class FactorPlan:
         pivot rows' diagonals ``A[k,k]``, and the number of updates of
         each; then the entries ``A[i,j]`` updated and the ``U[k,j]``
         read, pivot by pivot.  The last three are ``None`` when no
-        pivot of the step updates anything.  All arrays are read-only.
+        pivot of the step updates anything.  The arrays are private to
+        the plan and never written, but not flagged read-only: NumPy's
+        ``take`` and ``repeat`` copy a read-only index array on every
+        call.
     flops:
         Flops of the numeric factorization: one division per pivot and
         a multiply–subtract per update.
@@ -119,11 +122,6 @@ def _take_parts(parts: list, order: np.ndarray) -> np.ndarray:
     whole = np.concatenate(parts)
     parts.clear()
     return whole[order]
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _build_plan(a: CSRMatrix) -> FactorPlan:
@@ -219,8 +217,6 @@ def _build_plan(a: CSRMatrix) -> FactorPlan:
     update_ptr = np.zeros(n_piv + 1, dtype=np.int64)
     np.cumsum(counts, out=update_ptr[1:])
 
-    for arr in (piv, piv_diag, counts, targets, sources):
-        _readonly(arr)
     sp, up = step_ptr.tolist(), update_ptr[step_ptr].tolist()
     steps = []
     for s in range(n_steps):
@@ -228,7 +224,7 @@ def _build_plan(a: CSRMatrix) -> FactorPlan:
         upd = ((counts[p0:p1], targets[u0:u1], sources[u0:u1])
                if u1 > u0 else (None, None, None))
         steps.append((piv[p0:p1], piv_diag[p0:p1]) + upd)
-    level_diag = _readonly(diag_pos[schedule.rows])
+    level_diag = diag_pos[schedule.rows]
     lp, lsp = schedule.level_ptr.tolist(), level_step_ptr.tolist()
     levels = tuple((level_diag[lp[lvl]:lp[lvl + 1]],
                     tuple(steps[lsp[lvl]:lsp[lvl + 1]]))

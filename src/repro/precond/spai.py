@@ -58,7 +58,8 @@ def ainv_pattern(a: CSRMatrix, k: int = 1) -> CSRMatrix:
     pat = ones
     for _ in range(k - 1):
         pat = spgemm(pat, ones)
-        pat.data[:] = 1.0
+        pat = CSRMatrix(pat.indptr, pat.indices, np.ones(pat.nnz),
+                        pat.shape, check=False)
     return pat
 
 

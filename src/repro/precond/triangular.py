@@ -300,8 +300,8 @@ class ScheduledTriangularSolver:
             coef[slot] = -tri.data[off] / diag[rows]
         # Each row's segment start relative to its wavefront's first entry.
         rel = own - np.repeat(own[lp[:-1]], sizes)
-        for arr in (perm, gcols, coef, rel):
-            arr.flags.writeable = False
+        # The arrays stay writeable and private: NumPy's take and
+        # reduceat copy a read-only index array on every call.
         self._perm = perm
         self._coef = coef
         self._level_nnz = seg[lp[1:]] - seg[lp[:-1]]
@@ -369,8 +369,9 @@ class ScheduledTriangularSolver:
         if b.ndim == 2:
             # A contiguous (nnz, B) coefficient block: multiplying by a
             # broadcast (k, 1) column costs several times as much.
-            block = np.empty((self._coef.shape[0], b.shape[1]), dtype=dtype)
-            block[...] = self._coef[:, None]
+            k, width = self._coef.shape[0], b.shape[1]
+            block = self._coef.astype(dtype, copy=False).repeat(
+                width).reshape(k, width)
         prod = np.empty((self._max_nnz,) + b.shape[1:], dtype=dtype)
         # Outputs are passed positionally and the gather skips its bounds
         # check (the inspector built every index): per-call overhead is

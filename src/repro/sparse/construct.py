@@ -167,5 +167,6 @@ def random_spd(n: int, *, density: float = 0.01, seed: int = 0,
     diag_vals = (row_abs * 1.001 + diag_boost * scale
                  + value_scale * 1e-2 + 1e-12)
     diag_mask = rid == a.indices
-    a.data[diag_mask] = diag_vals[rid[diag_mask]].astype(dtype)
-    return a
+    data = a.data.copy()
+    data[diag_mask] = diag_vals[rid[diag_mask]].astype(dtype)
+    return CSRMatrix(a.indptr, a.indices, data, a.shape, check=False)

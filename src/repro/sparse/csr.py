@@ -5,6 +5,11 @@ wavefront scheduling, triangular solves, SpMV) operates on this class.
 The canonical form required by the numeric kernels is: sorted column
 indices within each row and no duplicate entries; :meth:`check_format`
 verifies it and conversions from COO establish it.
+
+A matrix is read-only once its constructor returns, so what depends on
+its content alone is computed once per object and kept on it: the
+fingerprints of :mod:`repro.perf.fingerprint` and the slot plan of the
+block SpMV, values included.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ _BLOCK = (1, 5, 3, 7, 2, 6, 4, 8)
 
 
 class _SlotPlan:
-    """Where each product of a block SpMV goes for the slot sums; built
-    from the pattern alone, so writes into ``data`` need no rebuild.
+    """Where each product of a block SpMV goes for the slot sums, and
+    the matrix's values in that order.
 
     ``np.add.reduceat`` sums a row of ``L`` entries as its first entry
     plus NumPy's pairwise sum of the other ``n = L − 1``: left to right
@@ -59,17 +64,20 @@ class _SlotPlan:
     rows keep their products contiguous and their ``reduceat`` offsets.
 
     ``order`` is the products' positions in ``data``, ``cols`` their
-    columns (``indices[order]``), ``inverse`` each row's position in the
-    grouped order.  ``groups`` holds each slot group's ``q``, rows,
+    columns (``indices[order]``), ``values`` their values
+    (``data[order]``), ``inverse`` each row's position in the grouped
+    order.  ``groups`` holds each slot group's ``q``, rows,
     first product and the ``(start, stop)`` of each prefix slot (every
     slot for ``q = 0``, the left-over addends otherwise); ``split`` the
     split rows' first row, first product and offsets, or ``None``;
     ``calls`` counts the NumPy calls of :meth:`row_sums`.
     """
 
-    __slots__ = ("order", "cols", "inverse", "groups", "split", "calls")
+    __slots__ = ("order", "cols", "values", "inverse", "groups", "split",
+                 "calls")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, n_cols: int):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray, n_cols: int):
         lengths = np.diff(indptr)
         n = lengths.size
         itype = (np.int32 if max(indices.size, n, n_cols) < 2 ** 31
@@ -114,6 +122,7 @@ class _SlotPlan:
         self.order = np.concatenate(parts or [np.zeros(0, np.int64)]
                                     ).astype(itype)
         self.cols = indices[self.order].astype(itype)
+        self.values = data[self.order]
         self.inverse = np.empty(n, dtype=itype)
         self.inverse[rows] = np.arange(n, dtype=itype)
 
@@ -166,6 +175,32 @@ def _sum_group(acc: np.ndarray, q: int, e0: int, prefix: list,
         out[:, w0:] = 0.0
 
 
+def _private(arr: np.ndarray) -> np.ndarray:
+    """A writeable handle on *arr*'s memory, for the kernels to read.
+
+    NumPy's ``take``, ``repeat`` and ``ufunc.reduceat`` copy a read-only
+    index array on every call (a 200,000-entry ``take`` allocates 1.6 MB
+    for it), so the kernels never gather through the public read-only
+    views.  A read-only *arr* whose memory some writeable array owns,
+    such as another matrix's public view, gets a writeable view of it;
+    memory that nothing may write is copied once.
+    """
+    if arr.flags.writeable:
+        return arr
+    handle = arr.view()
+    try:
+        handle.flags.writeable = True
+    except ValueError:
+        handle = arr.copy()
+    return handle
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 class CSRMatrix:
     """Sparse matrix in compressed sparse row format (Figure 1b of the paper).
 
@@ -181,16 +216,32 @@ class CSRMatrix:
         ``(n_rows, n_cols)``.
     check:
         When ``True`` (default) validate the format invariants.
+
+    A matrix is read-only: :attr:`indptr`, :attr:`indices` and
+    :attr:`data` are read-only views, so writing into them raises
+    ``ValueError``, and none of them can be reassigned.  A matrix with
+    other values is a new matrix (build its arrays first, then the
+    matrix).  That is what lets it keep what depends on its content
+    alone: its fingerprints and its slot plan's values are computed
+    once.  Contiguous inputs of the right dtype are not copied, and the
+    arrays a caller passes in stay writeable: a caller who keeps such an
+    array and writes into it changes the matrix behind its kept
+    fingerprints and slot plan, which then go stale.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "_rows_nonempty",
-                 "_block_products", "_block_plan")
+    __slots__ = ("_indptr", "_indices", "_data", "_views", "shape",
+                 "_rows_nonempty", "_block_products", "_block_plan",
+                 "_pattern_hash", "_structure_fp", "_matrix_fp")
 
     def __init__(self, indptr, indices, data, shape: tuple[int, int], *,
                  check: bool = True):
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.data = np.ascontiguousarray(data)
+        # The kernels read the writeable handles (see _private); the
+        # public attributes are read-only views of the same memory.
+        self._indptr, self._indices, self._data = handles = (
+            _private(np.ascontiguousarray(indptr, dtype=np.int64)),
+            _private(np.ascontiguousarray(indices, dtype=np.int64)),
+            _private(np.ascontiguousarray(data)))
+        self._views = tuple(map(_read_only, handles))
         if len(shape) != 2 or shape[0] < 0 or shape[1] < 0:
             raise ShapeError(f"invalid shape {shape!r}")
         self.shape = (int(shape[0]), int(shape[1]))
@@ -199,10 +250,27 @@ class CSRMatrix:
         # second, which builds the slot plan if the pattern pays for it.
         self._block_products = 0
         self._block_plan: _SlotPlan | None = None
+        # Fingerprint memos, kept by repro.perf.fingerprint.
+        self._pattern_hash = self._structure_fp = self._matrix_fp = None
         if check:
             self.check_format()
 
     # -- basic properties ------------------------------------------------
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row pointers, length ``n_rows + 1`` (read-only)."""
+        return self._views[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Column indices, length ``nnz`` (read-only)."""
+        return self._views[1]
+
+    @property
+    def data(self) -> np.ndarray:
+        """Stored values, length ``nnz`` (read-only)."""
+        return self._views[2]
+
     @property
     def n_rows(self) -> int:
         return self.shape[0]
@@ -214,11 +282,11 @@ class CSRMatrix:
     @property
     def nnz(self) -> int:
         """Number of stored entries."""
-        return int(self.indptr[-1])
+        return int(self._indptr[-1])
 
     @property
     def dtype(self) -> np.dtype:
-        return self.data.dtype
+        return self._data.dtype
 
     @property
     def density(self) -> float:
@@ -228,7 +296,7 @@ class CSRMatrix:
 
     def row_lengths(self) -> np.ndarray:
         """Stored entries per row, length ``n_rows``."""
-        return np.diff(self.indptr)
+        return np.diff(self._indptr)
 
     def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of row *i*'s ``(columns, values)``."""
@@ -313,7 +381,8 @@ class CSRMatrix:
         from .csc import CSCMatrix
 
         t = self.transpose()
-        return CSCMatrix(t.indptr, t.indices, t.data, self.shape, check=False)
+        return CSCMatrix(t._indptr, t._indices, t._data, self.shape,
+                         check=False)
 
     def transpose(self) -> "CSRMatrix":
         """Return the transpose as a new canonical CSR matrix."""
@@ -330,14 +399,14 @@ class CSRMatrix:
                          check=False)
 
     def copy(self) -> "CSRMatrix":
-        """Deep copy."""
-        return CSRMatrix(self.indptr.copy(), self.indices.copy(),
-                         self.data.copy(), self.shape, check=False)
+        """Deep copy: shares no memory with this matrix."""
+        return CSRMatrix(self._indptr.copy(), self._indices.copy(),
+                         self._data.copy(), self.shape, check=False)
 
     def astype(self, dtype) -> "CSRMatrix":
         """Return a copy with values cast to *dtype* (indices shared)."""
-        return CSRMatrix(self.indptr, self.indices,
-                         self.data.astype(dtype), self.shape, check=False)
+        return CSRMatrix(self._indptr, self._indices,
+                         self._data.astype(dtype), self.shape, check=False)
 
     # -- numeric kernels ---------------------------------------------------
     def _spmv(self, x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -359,8 +428,8 @@ class CSRMatrix:
           ``indptr[:-1]``, one inner-loop call per row and right-hand
           side.  The offsets are valid ``reduceat`` offsets only when
           every row stores an entry; the check runs on the first
-          product and is kept (the pattern is never mutated in place;
-          only ``data`` is).  A matrix with an empty row goes through
+          product and is kept, as the matrix is read-only.  A matrix
+          with an empty row goes through
           :func:`~repro.util.segment_sum`, whose masking keeps
           ``reduceat`` off empty segments.
         * the slot sums, for blocks of ``_SLOT_MIN_WIDTH`` columns or
@@ -368,17 +437,21 @@ class CSRMatrix:
           follows the plan's order, the rows of each group are summed
           by whole-array adds over their slots (:func:`_sum_group`),
           and one ``take`` restores row order.  The plan is built from
-          the pattern at the second such product and kept if it makes
-          at least ``_MIN_ROWS_PER_CALL`` rows per NumPy call; a matrix
-          that makes one block product keeps none.
+          the pattern, with the values in its order, at the second such
+          product and kept if it makes at least ``_MIN_ROWS_PER_CALL``
+          rows per NumPy call; a matrix that makes one block product
+          keeps none.
 
+        Every gather reads the matrix's writeable private handles (see
+        :func:`_private`), so no NumPy call copies an index array.
         Scratch is allocated per call: cached matrices are shared
         across threads.
         """
+        indptr, indices, data = self._indptr, self._indices, self._data
         if self._rows_nonempty is None:
             self._rows_nonempty = bool(self.n_rows) and bool(
-                (self.indptr[1:] > self.indptr[:-1]).all())
-        dtype = np.result_type(self.data.dtype, x.dtype)
+                (indptr[1:] > indptr[:-1]).all())
+        dtype = np.result_type(data.dtype, x.dtype)
         plan = None
         if x.ndim == 2 and x.shape[1] >= _SLOT_MIN_WIDTH:
             # Unlocked: threads racing here at worst build the same plan
@@ -387,16 +460,16 @@ class CSRMatrix:
             if plan is None and self._block_products < 2:
                 self._block_products += 1
                 if self._block_products == 2:
-                    plan = _SlotPlan(self.indptr, self.indices, self.n_cols)
+                    plan = _SlotPlan(indptr, indices, data, self.n_cols)
                     if plan.calls * _MIN_ROWS_PER_CALL > self.n_rows:
                         plan = None
                     self._block_plan = plan
         if plan is not None:
             prod = x.T.take(plan.cols, -1)
-            values = self.data.take(plan.order)
+            values = plan.values
         else:
-            prod = x.T.take(self.indices, -1)
-            values = self.data
+            prod = x.T.take(indices, -1)
+            values = data
         prod = np.multiply(prod, values,
                            out=prod if prod.dtype == dtype else None)
         # float32 products are summed in float64, as segment_sum does.
@@ -404,10 +477,10 @@ class CSRMatrix:
         if plan is not None:
             y = plan.row_sums(acc)
         elif self._rows_nonempty:
-            y = np.add.reduceat(acc, self.indptr[:-1], axis=-1)
+            y = np.add.reduceat(acc, indptr[:-1], axis=-1)
         else:
             y = np.empty(acc.shape[:-1] + (self.n_rows,))
-            segment_sum(acc.T, self.indptr[:-1], self.indptr[1:], out=y.T)
+            segment_sum(acc.T, indptr[:-1], indptr[1:], out=y.T)
         y = y.astype(dtype, copy=False).T
         if out is None:
             return y

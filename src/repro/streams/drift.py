@@ -50,11 +50,17 @@ def perturb_spd(a: CSRMatrix, magnitude: float, seed: int, *,
     if magnitude < 0:
         raise ValueError("magnitude must be non-negative")
     data = a.data.astype(np.float64, copy=True)
-    out = CSRMatrix(a.indptr.copy(), a.indices.copy(), data,
-                    a.shape)
-    if magnitude == 0.0:
-        return out
+    if magnitude != 0.0:
+        _add_drift(a, data, magnitude, seed, fraction)
+    # Built once the values are final: a matrix is read-only, so the
+    # drifted one shares a's pattern arrays.
+    return CSRMatrix(a.indptr, a.indices, data, a.shape)
 
+
+def _add_drift(a: CSRMatrix, data: np.ndarray, magnitude: float, seed: int,
+               fraction: float) -> None:
+    """Add :func:`perturb_spd`'s seeded drift to *data*, a copy of
+    ``a.data``, in place."""
     n = a.n_rows
     rows = np.repeat(np.arange(n), np.diff(a.indptr))
     cols = a.indices
@@ -64,7 +70,7 @@ def perturb_spd(a: CSRMatrix, magnitude: float, seed: int, *,
            for p, (i, j) in enumerate(zip(rows, cols))}
     lower = np.flatnonzero(rows > cols)
     if lower.size == 0:
-        return out
+        return
     rng = np.random.default_rng(seed)
     k = max(1, int(round(fraction * lower.size)))
     chosen = rng.choice(lower, size=min(k, lower.size), replace=False)
@@ -80,7 +86,6 @@ def perturb_spd(a: CSRMatrix, magnitude: float, seed: int, *,
         data[q] += delta
         data[di] += abs(delta)
         data[dj] += abs(delta)
-    return out
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,21 @@ def run_interleaved(worker, n_threads: int) -> None:
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
+
+
+def peak_alloc_bytes(fn) -> int:
+    """Peak bytes one call of *fn* allocates beyond what was live before
+    it, under ``tracemalloc``, after one untraced warm-up call (which
+    builds whatever a kernel caches on first use; importable by
+    tests)."""
+    fn()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
 
 
 def kahn_levels(tri: CSRMatrix, *, kind: str = "lower") -> np.ndarray:

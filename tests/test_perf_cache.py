@@ -1,11 +1,15 @@
 """Tests for repro.perf — fingerprints and the solver-artifact cache."""
 
+import hashlib
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.perf.fingerprint as fingerprint_module
 from conftest import run_interleaved
+from repro.datasets import load, names
 from repro.core import make_preconditioner, sparsify_magnitude, spcg
 from repro.perf import (ArtifactCache, cache_stats, cached_level_schedule,
                         get_cache, matrix_fingerprint, structure_fingerprint,
@@ -46,6 +50,84 @@ class TestFingerprints:
         a = CSRMatrix(indptr, idx, val, (1, 2))
         b = CSRMatrix(indptr, idx, val, (1, 3))
         assert structure_fingerprint(a) != structure_fingerprint(b)
+
+
+def _oracle_digests(a) -> tuple[str, str]:
+    """The (structure, matrix) fingerprints by their formula, each
+    hashed from scratch: BLAKE2b-128 of ``csr:{n}x{m}:`` followed by
+    each array's dtype name and raw bytes."""
+    def part(arr):
+        return str(arr.dtype).encode("ascii") + arr.tobytes()
+
+    pattern = (f"csr:{a.shape[0]}x{a.shape[1]}:".encode("ascii")
+               + part(a.indptr) + part(a.indices))
+    return (hashlib.blake2b(pattern, digest_size=16).hexdigest(),
+            hashlib.blake2b(pattern + part(a.data),
+                            digest_size=16).hexdigest())
+
+
+def _fresh(a):
+    """A new matrix object over *a*'s arrays: nothing memoized yet."""
+    return CSRMatrix(a.indptr, a.indices, a.data, a.shape, check=False)
+
+
+class TestMemoizedFingerprints:
+    """A matrix is read-only, so its fingerprints are computed once and
+    kept on it; the matrix digest extends a copy of the pattern's
+    BLAKE2b state.  Every digest stays the formula's."""
+
+    def test_registry_digests_match_formula_in_either_order(self):
+        checked = 0
+        for name in names():
+            a = load(name)
+            for m in (a, a.astype(np.float32)):
+                want = _oracle_digests(m)
+                s_first, m_first = _fresh(m), _fresh(m)
+                got_s = structure_fingerprint(s_first)
+                got = (got_s, matrix_fingerprint(s_first))
+                assert got == want, name
+                got_m = matrix_fingerprint(m_first)
+                assert (structure_fingerprint(m_first), got_m) == want, name
+                # And again, from the memos.
+                for f in (s_first, m_first):
+                    assert (structure_fingerprint(f),
+                            matrix_fingerprint(f)) == want, name
+                checked += 1
+        assert checked == 2 * len(names()) >= 214
+
+    def test_each_matrix_is_hashed_once(self, poisson16):
+        a = _fresh(poisson16)
+        with mock.patch.object(fingerprint_module.hashlib, "blake2b",
+                               wraps=hashlib.blake2b) as blake2b:
+            for _ in range(3):
+                structure_fingerprint(a)
+                matrix_fingerprint(a)
+        assert blake2b.call_count == 1
+        assert (structure_fingerprint(a),
+                matrix_fingerprint(a)) == _oracle_digests(a)
+
+    def test_threads_share_one_matrix(self):
+        """Six threads fingerprint each of ten fresh matrix objects at
+        once, half asking for the structure first."""
+        base = load("structural_2500_s104")
+        want = _oracle_digests(base)
+        matrices = [_fresh(base) for _ in range(10)]
+        start = threading.Barrier(6)
+        got = [[] for _ in range(6)]
+
+        def worker(t):
+            for a in matrices:
+                start.wait(timeout=30.0)
+                if t % 2:
+                    got[t].append((structure_fingerprint(a),
+                                   matrix_fingerprint(a)))
+                else:
+                    m = matrix_fingerprint(a)
+                    got[t].append((structure_fingerprint(a), m))
+
+        run_interleaved(worker, 6)
+        assert [len(g) for g in got] == [10] * 6
+        assert all(g == want for gs in got for g in gs)
 
 
 class TestArtifactCache:

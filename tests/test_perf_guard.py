@@ -145,7 +145,9 @@ class TestSlotSumGuard:
     against one ``matvec``.  With one ``reduceat`` call per row and
     column the block measured x5.9-6.7 a vector (median of 15
     alternating rounds, three runs on 2 vCPUs of an Intel Xeon); the
-    slot sums measure x3.9-4.1, and the threshold rejects the per-row
+    slot sums, with the values the plan keeps, measure x3.5-4.0 (twelve
+    runs, half of them beside a full test run; x3.9-4.3 gathering the
+    values per product), and the threshold rejects the per-row
     reduction."""
 
     def test_block_costs_few_vectors(self, guard_matrix, rng):
@@ -178,10 +180,13 @@ class TestWavefrontSweepGuard:
     """The level-contiguous sweep against the row-by-row oracle, both
     timed here, so the ratio does not depend on the host's speed.  On
     the 99 wavefronts of each of the guard matrix's ILU(0) factors, on 2
-    vCPUs of a 2.1 GHz Xeon, the three-call wavefront measures x31-33
-    (one right-hand side) and x103-117 (eight) on the unit forward
-    factor, and x65-70 and x234-267 on the non-unit backward factor
-    (best of 15 alternating rounds).  The five-call wavefront it
+    vCPUs of a 2.1 GHz Xeon, the three-call wavefront measures x37-41
+    (one right-hand side) and x115-135 (eight) on the unit forward
+    factor, and x78-92 and x248-270 on the non-unit backward factor
+    (twelve runs of the guards' rounds, half of them beside a full test
+    run).  With its index arrays flagged read-only, which makes NumPy
+    copy them on every call, it measured x30-39, x110-118, x67-72 and
+    x228-244 (six runs).  The five-call wavefront it
     replaced, which subtracted and scaled after the row sums, measures
     x24-32, x94-108, x44-51 and x176-186: the backward thresholds reject
     it.  An executor spending about a dozen NumPy calls per wavefront
@@ -304,11 +309,14 @@ class TestSingleColumnKernelGuard:
     one-column SpMV and sweep routes) must stay within x1.10 with
     ILU(0), where the two triangular sweeps dominate, and x1.15 with
     Jacobi, where an iteration is a few vector kernels.  On 2 vCPUs of
-    an Intel Xeon this kernel measures x0.99-1.05 and x1.06-1.10 (the
-    single-vector loop it replaced: x1.01-1.02 and x0.97-1.06); with
-    the one-column block sent through the 2-D SpMV and sweep it
-    measures x1.08-1.13 with ILU(0), and the former block loop at one
-    column measures x1.13-1.27 and x1.52-1.58."""
+    an Intel Xeon this kernel measures x1.02-1.04 and x1.09-1.15
+    (twelve runs, half of them beside a full test run; x1.02-1.04 and
+    x1.11-1.14 before the kernels' index arrays were made writeable,
+    which both loops share; the single-vector loop it replaced:
+    x1.01-1.02 and x0.97-1.06); with the one-column block sent through
+    the 2-D SpMV and sweep it measures x1.08-1.13 with ILU(0), and the
+    former block loop at one column measures x1.13-1.27 and
+    x1.52-1.58."""
 
     @pytest.mark.parametrize("kind, bound", [("ilu0", 1.10),
                                              ("jacobi", 1.15)])

@@ -223,12 +223,34 @@ class TestCompiledElimination:
                                       f2.view(np.uint64))
         assert fl1 == fl2
 
-    def test_plan_arrays_read_only(self, spd_random):
-        plan = build_factor_plan(spd_random)
-        diagonals, steps = plan.levels[-1]
-        for arr in (diagonals, *steps[0]):
-            if arr is not None:
-                assert not arr.flags.writeable
+    def test_factorizations_leave_plan_unchanged(self, spd_random):
+        """The plan's arrays are private and writeable (NumPy's ``take``
+        and ``repeat`` copy read-only index arrays on every call), and
+        no factorization writes into them, the zero-pivot boost
+        included."""
+        plan = build_factor_plan(spd_random, cache=ArtifactCache())
+
+        def arrays():
+            out = []
+            for diagonals, steps in plan.levels:
+                out.append(diagonals)
+                out += [arr for step in steps for arr in step
+                        if arr is not None]
+            return out
+
+        before = [arr.copy() for arr in arrays()]
+        ilu_numeric_vectorized(spd_random, plan=plan)
+        data = spd_random.data.copy()
+        data[spd_random.indptr[0]] = 0.0  # row 0's diagonal
+        zero = CSRMatrix(spd_random.indptr, spd_random.indices, data,
+                         spd_random.shape)
+        with pytest.raises(SingularFactorError):
+            ilu_numeric_vectorized(zero, plan=plan)
+        ilu_numeric_vectorized(zero, plan=plan, raise_on_zero_pivot=False)
+        after = arrays()
+        assert len(after) == len(before)
+        for old, new in zip(before, after):
+            assert old.tobytes() == new.tobytes()
 
 
 def _assert_same_schedule(got, want):

@@ -11,6 +11,8 @@ from repro.precond import (ScheduledTriangularSolver, ilu0,
                            solve_lower_sequential, solve_upper_sequential)
 from repro.sparse import CSRMatrix, stencil_poisson_2d
 
+from conftest import peak_alloc_bytes
+
 sla = pytest.importorskip("scipy.linalg")
 
 
@@ -150,6 +152,57 @@ class TestScheduledSolver:
         a = CSRMatrix.from_dense(dense)
         with pytest.raises(NotTriangularError):
             ScheduledTriangularSolver(a, kind="lower")
+
+
+def _fan_triangle(n):
+    """Lower triangle storing column 0 and the diagonal: two wavefronts,
+    the second holding every row but one and nearly every entry."""
+    indptr = np.concatenate(([0, 1], 1 + 2 * np.arange(1, n)))
+    indices = np.zeros(2 * n - 1, dtype=np.int64)
+    indices[2::2] = np.arange(1, n)
+    return CSRMatrix(indptr, indices, np.full(2 * n - 1, 0.5), (n, n))
+
+
+def _solver_arrays(solver):
+    arrays = [solver._perm, solver._coef, solver._level_nnz]
+    for level in solver._levels:
+        arrays += [v for v in level if isinstance(v, np.ndarray)]
+    return arrays
+
+
+class TestSweepArrays:
+    """The sweep's gather indices, segment offsets and coefficients are
+    private to the solver and writeable, as NumPy's ``take`` and
+    ``reduceat`` copy a read-only index array on every call: a sweep
+    allocates its own buffers and nothing index-sized besides, and no
+    solve writes into them."""
+
+    def test_one_column_sweep_allocates_only_its_buffers(self):
+        n = 20_000
+        solver = ScheduledTriangularSolver(_fan_triangle(n), kind="lower")
+        assert solver.n_levels == 2 and solver._max_nnz == 2 * (n - 1)
+        b = np.ones(n)
+        # The permuted right-hand side, the widest level's products and
+        # the solution.
+        buffers = 8 * (n + solver._max_nnz + n)
+        assert peak_alloc_bytes(lambda: solver.solve(b)) <= buffers + 4096
+
+    def test_solves_write_no_solver_array(self, rng):
+        f = ilu0(stencil_poisson_2d(12))
+        for solver in (ScheduledTriangularSolver(f.lower, kind="lower",
+                                                 unit_diagonal=True),
+                       ScheduledTriangularSolver(f.upper, kind="upper")):
+            before = [arr.copy() for arr in _solver_arrays(solver)]
+            n = solver.n
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 1)),
+                      rng.standard_normal((n, 8)),
+                      rng.standard_normal((n, 3)).astype(np.float32)):
+                solver.solve(b)
+            after = _solver_arrays(solver)
+            assert len(after) == len(before)
+            for old, new in zip(before, after):
+                assert old.dtype == new.dtype
+                assert old.tobytes() == new.tobytes()
 
 
 def _first_broken_row(tri, kind, schedule):

@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sparse.csr as csr_module
+from repro.datasets import load
 from repro.errors import ShapeError, SparseFormatError
+from repro.precond import ilu0
+from repro.precond.fsai import fsai
 from repro.sparse import COOMatrix, CSRMatrix, stencil_poisson_2d
+from repro.sparse.ops import extract_lower
+from repro.sparse.spgemm import spgemm
 from repro.util import segment_sum
 
 sp = pytest.importorskip("scipy.sparse")
 
-from conftest import random_csr, run_interleaved  # noqa: E402
+from conftest import (peak_alloc_bytes, random_csr,  # noqa: E402
+                      run_interleaved)
 
 
 class TestConstructionValidation:
@@ -316,19 +322,26 @@ class TestSlotSums:
         for y in (y for ys in got for y in ys):
             _assert_bitwise(y, want)
 
-    def test_plan_follows_data_written_in_place(self, rng):
+    def test_new_values_make_a_new_matrix(self, rng):
         a = stencil_poisson_2d(40)
         block = np.asfortranarray(
             rng.standard_normal((a.n_cols, csr_module._SLOT_MIN_WIDTH)))
         a.matmat(block)
         a.matmat(block)
         assert a._block_plan is not None
-        a.data[:] = rng.standard_normal(a.nnz)
-        fresh = CSRMatrix(a.indptr, a.indices, a.data.copy(), a.shape)
-        y = a.matmat(block)
-        _assert_bitwise(y, fresh.matmat(block))
-        for j in range(block.shape[1]):
-            _assert_bitwise(y[:, j], fresh.matvec(block[:, j]))
+        with pytest.raises(ValueError):
+            a.data[:] = 0.0
+        # Same pattern, new values, built after a holds its plan: each
+        # matrix computes with its own values once both hold plans.
+        b = CSRMatrix(a.indptr, a.indices, rng.standard_normal(a.nnz),
+                      a.shape)
+        b.matmat(block)
+        b.matmat(block)
+        assert b._block_plan is not None
+        for m in (a, b):
+            y = m.matmat(block)
+            for j in range(block.shape[1]):
+                _assert_bitwise(y[:, j], m.matvec(block[:, j]))
 
 
 class TestTransforms:
@@ -359,13 +372,94 @@ class TestTransforms:
 
     def test_copy_is_deep(self, fig1_lower):
         c = fig1_lower.copy()
-        c.data[0] = 99.0
-        assert fig1_lower.data[0] == 2.0
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(c, name), getattr(fig1_lower, name)
+            assert not np.shares_memory(mine, theirs)
+            for arr in (mine, theirs):
+                with pytest.raises(ValueError):
+                    arr[0] = 99
 
     def test_astype(self, fig1_lower):
         f32 = fig1_lower.astype(np.float32)
         assert f32.dtype == np.float32
         np.testing.assert_allclose(f32.to_dense(), fig1_lower.to_dense())
+
+
+def _from_public_arrays(a):
+    return CSRMatrix(a.indptr, a.indices, a.data * 2.0, a.shape)
+
+
+#: Every way the library builds a matrix, from an SPD matrix *a*.
+CONSTRUCTORS = {
+    "init": lambda a: CSRMatrix(a.indptr.copy(), a.indices.copy(),
+                                a.data.copy(), a.shape),
+    "public_arrays": _from_public_arrays,
+    "from_dense": lambda a: CSRMatrix.from_dense(a.to_dense()),
+    "tocoo_tocsr": lambda a: a.tocoo().tocsr(),
+    "transpose": lambda a: a.transpose(),
+    "copy": lambda a: a.copy(),
+    "astype": lambda a: a.astype(np.float32),
+    "eliminate_zeros": lambda a: a.eliminate_zeros(),
+    "extract_lower": extract_lower,
+    "load": lambda a: load("thermal_900_s100"),
+    "spgemm": lambda a: spgemm(a, a),
+    "ilu_lower": lambda a: ilu0(a).lower,
+    "ilu_upper": lambda a: ilu0(a).upper,
+    "fsai": lambda a: fsai(a)[0],
+}
+
+
+class TestReadOnly:
+    """A matrix is read-only whichever path built it: writing into its
+    arrays raises and none of them can be reassigned.  The arrays a
+    caller passes in are neither copied nor frozen."""
+
+    @pytest.mark.parametrize("build", CONSTRUCTORS.values(),
+                             ids=CONSTRUCTORS.keys())
+    def test_writes_raise(self, build):
+        m = build(stencil_poisson_2d(8))
+        assert isinstance(m, CSRMatrix) and m.nnz
+        for name in ("indptr", "indices", "data"):
+            arr = getattr(m, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+            with pytest.raises(AttributeError):
+                setattr(m, name, arr.copy())
+
+    def test_caller_arrays_stay_writeable(self):
+        given = (np.array([0, 1, 3], dtype=np.int64),
+                 np.array([0, 0, 1], dtype=np.int64),
+                 np.array([2.0, 1.0, 3.0]))
+        m = CSRMatrix(*given, (2, 2))
+        for arr, name in zip(given, ("indptr", "indices", "data")):
+            assert arr.flags.writeable
+            assert np.shares_memory(getattr(m, name), arr)
+        np.testing.assert_array_equal(m.to_dense(), [[2.0, 0.0], [1.0, 3.0]])
+
+
+class TestNoHiddenIndexCopy:
+    """NumPy's ``take`` and ``reduceat`` copy a read-only index array
+    on every call (a 200,000-index ``take`` allocates 1.6 MB for it), so
+    the SpMV gathers through the matrix's writeable private handles.  A
+    ``matvec`` then allocates its products and its sums and nothing
+    index-sized besides, whatever arrays the matrix was built from:
+    another matrix's public (read-only) views, as the stream session's
+    refresh builds it, indices shared with another matrix, as ``astype``
+    shares them, or memory nothing may write."""
+
+    @pytest.mark.parametrize("build", [
+        lambda a: a,
+        _from_public_arrays,
+        lambda a: a.astype(np.float32),
+        lambda a: CSRMatrix(np.frombuffer(a.indptr.tobytes(), np.int64),
+                            np.frombuffer(a.indices.tobytes(), np.int64),
+                            np.frombuffer(a.data.tobytes()), a.shape),
+    ], ids=["own", "public_arrays", "astype", "immutable_memory"])
+    def test_matvec_allocates_only_its_buffers(self, build, rng):
+        m = build(stencil_poisson_2d(100))
+        x = rng.standard_normal(m.n_cols)
+        buffers = 8 * (m.nnz + m.n_rows)
+        assert peak_alloc_bytes(lambda: m.matvec(x)) <= buffers + 4096
 
 
 class TestAccessors:

@@ -2,6 +2,8 @@
 staleness-gated factor reuse, Krylov recycling — plus the warm-start
 (``x0``) plumbing through the request path."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,6 +154,28 @@ class TestPerturbSpd:
         assert np.array_equal(d1.data, d2.data)
         d3 = perturb_spd(poisson16, 1e-3, seed=10)
         assert not np.array_equal(d1.data, d3.data)
+
+    def test_matrix_built_after_its_drift(self, poisson16):
+        """A matrix is read-only and memoizes its fingerprints, so
+        ``perturb_spd`` finishes the drifted values before it builds the
+        matrix: one whose fingerprint is taken the moment it is built
+        still hashes the drifted values.  The drift itself is pinned
+        bitwise by its digest."""
+        import repro.streams.drift as drift_module
+        from repro.sparse import CSRMatrix
+
+        def hashed_when_built(*args, **kwargs):
+            m = CSRMatrix(*args, **kwargs)
+            matrix_fingerprint(m)
+            return m
+
+        with mock.patch.object(drift_module, "CSRMatrix",
+                               side_effect=hashed_when_built):
+            d = perturb_spd(poisson16, 0.05, seed=3)
+        fresh = CSRMatrix(d.indptr.copy(), d.indices.copy(),
+                          d.data.copy(), d.shape)
+        assert matrix_fingerprint(d) == matrix_fingerprint(fresh) \
+            == "ffb91f0bb851c3a596be1b8c3eb8dd74"
 
     def test_zero_magnitude_is_identity(self, poisson16):
         d = perturb_spd(poisson16, 0.0, seed=1)

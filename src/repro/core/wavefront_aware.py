@@ -27,9 +27,8 @@ import numpy as np
 from ..graph.stats import wavefront_reduction_percent
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_recorder
-from ..perf.cache import cached_level_schedule
+from ..perf.cache import cached_lower_schedule
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import extract_lower
 from .indicators import convergence_indicator
 from .sparsify import SparsifyResult, sparsify_magnitude
 
@@ -42,9 +41,10 @@ def _wavefront_count(a: CSRMatrix) -> int:
 
     Same value as :func:`repro.graph.levels.wavefront_count`; the
     memoized schedule means the suite's repeated Algorithm-2 runs over
-    one matrix pay the inspector once per distinct pattern.
+    one matrix pay the inspector once per distinct pattern, and the
+    ILU plan of the chosen ``Â`` reuses its schedule.
     """
-    return cached_level_schedule(extract_lower(a), kind="lower").n_levels
+    return cached_lower_schedule(a).n_levels
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ inspector half of the inspector–executor pattern.
 The expensive preprocessing artifacts of the pipeline — preconditioners
 with their factors and triangular solvers
 (:func:`repro.core.make_preconditioner`), wavefront (level) schedules
-(:func:`cached_level_schedule`) and ILU factor plans
+(:func:`cached_level_schedule`, :func:`cached_lower_schedule`) and ILU
+factor plans
 (:func:`repro.perf.vectorized.build_factor_plan`) — depend only on
 matrix *content* or *structure* and a small parameter tuple, yet the
 harness would recompute them for every (ratio, preconditioner) pair of
@@ -39,7 +40,8 @@ from ..obs.trace import get_recorder
 from .fingerprint import structure_fingerprint
 
 __all__ = ["CacheStats", "ArtifactCache", "get_cache", "set_cache",
-           "use_cache", "cache_stats", "cached_level_schedule"]
+           "use_cache", "cache_stats", "cached_level_schedule",
+           "cached_lower_schedule"]
 
 T = TypeVar("T")
 
@@ -265,3 +267,24 @@ def cached_level_schedule(tri, *, kind: str = "lower",
     key = (structure_fingerprint(tri), kind)
     return c.get_or_compute("level_schedule", key,
                             lambda: level_schedule(tri, kind=kind))
+
+
+def cached_lower_schedule(a, *, cache: ArtifactCache | None = None):
+    """Level schedule of ``tril(a)``, memoized by *a*'s own structure
+    fingerprint.
+
+    The lower triangle's schedule depends only on *a*'s pattern, so
+    the key hashes *a*, whose fingerprint the matrix keeps: Algorithm 2
+    counting the wavefronts of ``tril(Â)`` and the ILU plan of ``Â``
+    reusing that schedule read one memoized digest of ``Â``, which the
+    preconditioner key needs anyway, instead of each hashing a
+    triangle of its own.  The triangle is extracted only on a miss.
+    """
+    from ..graph.levels import level_schedule
+    from ..sparse.ops import extract_lower
+
+    c = cache if cache is not None else get_cache()
+    key = (structure_fingerprint(a), "tril")
+    return c.get_or_compute(
+        "level_schedule", key,
+        lambda: level_schedule(extract_lower(a), kind="lower"))

@@ -50,8 +50,7 @@ import numpy as np
 from ..errors import ShapeError, SingularFactorError, SparseFormatError
 from ..graph.levels import LevelSchedule
 from ..sparse.csr import CSRMatrix
-from ..sparse.ops import extract_lower
-from .cache import ArtifactCache, cached_level_schedule, get_cache
+from .cache import ArtifactCache, cached_lower_schedule, get_cache
 from .fingerprint import structure_fingerprint
 
 __all__ = ["FactorPlan", "build_factor_plan", "ilu_numeric_vectorized"]
@@ -148,7 +147,7 @@ def _build_plan(a: CSRMatrix) -> FactorPlan:
         raise SparseFormatError(
             f"ILU(0) requires a stored diagonal entry in row {row}")
 
-    schedule = cached_level_schedule(extract_lower(a), kind="lower")
+    schedule = cached_lower_schedule(a)
     n_levels = schedule.n_levels
 
     # Pivots (strictly-lower entries) in row-major order.  Level l owns

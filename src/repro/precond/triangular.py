@@ -17,6 +17,8 @@ priced, not run: see :func:`repro.precond.engine.plan_trisolve`.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..errors import (NotTriangularError, ScheduleError, ShapeError,
@@ -228,8 +230,10 @@ class ScheduledTriangularSolver:
     followed by its off-diagonal entries (coefficients ``-t_ij/d_i``),
     with columns renumbered to permuted positions, so that
     ``x_i = (1/d_i)·b_i + Σ_j (-t_ij/d_i)·x_j`` is one segmented sum.
-    :meth:`solve` then makes exactly three NumPy calls per wavefront.
-    The per-level row and nonzero counts are exposed via
+    :meth:`solve` then makes exactly three NumPy calls per wavefront,
+    on the views of a workspace built at the first solve of a shape and
+    dtype and kept for the next (see :meth:`_workspace`).  The
+    per-level row and nonzero counts are exposed via
     :meth:`kernel_profile` for the machine model.
     """
 
@@ -298,19 +302,18 @@ class ScheduledTriangularSolver:
         else:
             coef[own] = 1.0 / diag[perm]
             coef[slot] = -tri.data[off] / diag[rows]
-        # Each row's segment start relative to its wavefront's first entry.
-        rel = own - np.repeat(own[lp[:-1]], sizes)
         # The arrays stay writeable and private: NumPy's take and
         # reduceat copy a read-only index array on every call.
         self._perm = perm
+        self._cols = gcols
         self._coef = coef
-        self._level_nnz = seg[lp[1:]] - seg[lp[:-1]]
-        self._max_nnz = int(self._level_nnz.max(initial=0))
-        self._levels = [
-            (lo, hi, s0, s1, gcols[s0:s1], coef[s0:s1], rel[lo:hi])
-            for lo, hi, s0, s1 in zip(lp[:-1].tolist(), lp[1:].tolist(),
-                                      seg[lp[:-1]].tolist(),
-                                      seg[lp[1:]].tolist())]
+        # Each row's segment start relative to its wavefront's first entry.
+        self._offsets = own - np.repeat(own[lp[:-1]], sizes)
+        # Wavefront k's entries are _cols[_entry_ptr[k]:_entry_ptr[k+1]].
+        self._entry_ptr = seg[lp]
+        # At most one workspace, taken and returned under the lock.
+        self._spare = None
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @property
@@ -321,7 +324,7 @@ class ScheduledTriangularSolver:
     @property
     def nnz(self) -> int:
         """Stored off-diagonal entries plus diagonal contributions."""
-        return int(self._level_nnz.sum())
+        return int(self._entry_ptr[-1])
 
     def kernel_profile(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-level ``(rows, nnz)`` arrays for the machine cost model.
@@ -329,7 +332,35 @@ class ScheduledTriangularSolver:
         ``nnz`` counts the off-diagonal entries gathered in each level plus
         one diagonal operation per row.
         """
-        return np.diff(self.schedule.level_ptr), self._level_nnz.copy()
+        return np.diff(self.schedule.level_ptr), np.diff(self._entry_ptr)
+
+    def _workspace(self, shape: tuple, dtype) -> tuple:
+        """Scratch for solves of right-hand sides of *shape* in *dtype*.
+
+        Returns ``(key, y, levels)``: *key* is ``(shape, dtype)``, *y*
+        the permuted solution (row-interleaved for a block), and
+        *levels* one ``(gather indices, products, coefficients,
+        offsets, y[lo:hi])`` tuple per wavefront, every array a view
+        built here.  A 1-D workspace's coefficients are views of the
+        folded coefficients in *dtype*.  A block multiplies by a
+        contiguous ``(nnz, B)`` copy of them that each solve makes and
+        drops, as keeping one per solver costs ``8·nnz·B`` bytes for
+        every factor in memory, so a block workspace holds each
+        wavefront's ``slice`` of that copy instead.
+        """
+        y = np.empty(shape, dtype)
+        prod = np.empty((int(np.diff(self._entry_ptr).max(initial=0)),)
+                        + shape[1:], dtype)
+        coef = (self._coef.astype(dtype, copy=False) if len(shape) == 1
+                else None)
+        lp = self.schedule.level_ptr.tolist()
+        ep = self._entry_ptr.tolist()
+        cols, offsets = self._cols, self._offsets
+        levels = [(cols[s0:s1], prod[:s1 - s0],
+                   slice(s0, s1) if coef is None else coef[s0:s1],
+                   offsets[lo:hi], y[lo:hi])
+                  for lo, hi, s0, s1 in zip(lp[:-1], lp[1:], ep[:-1], ep[1:])]
+        return (shape, dtype), y, levels
 
     # ------------------------------------------------------------------
     def solve(self, b: np.ndarray, out: np.ndarray | None = None
@@ -348,8 +379,13 @@ class ScheduledTriangularSolver:
         kernel keeps its blocks in; *b* may have any layout).  The
         per-level barriers are paid once per sweep, not once per
         column, and column ``j`` of a block solve is bitwise identical
-        to the single-RHS solve of ``b[:, j]``.  Scratch space is
-        allocated per call, so one solver serves concurrent callers.
+        to the single-RHS solve of ``b[:, j]``.  The permuted solution,
+        the products and every per-level view come from the solver's
+        kept workspace when it is free and of this shape and dtype;
+        otherwise the call builds its own, and returns it to the solver
+        afterwards in place of the kept one.  So one solver serves
+        concurrent callers, and a warm solve allocates only its answer
+        (and, for a block, its coefficient block).
         """
         b = np.asarray(b)
         if b.ndim not in (1, 2) or b.shape[0] != self.n:
@@ -364,7 +400,15 @@ class ScheduledTriangularSolver:
             # One column runs the 1-D sweep on its column views: the
             # same numbers, without an (nnz, 1) coefficient block.
             b, x = b[:, 0], x[:, 0]
-        y = b[self._perm].astype(dtype, copy=False)
+        with self._lock:
+            ws, self._spare = self._spare, None
+        if ws is None or ws[0] != (b.shape, dtype):
+            ws = self._workspace(b.shape, dtype)
+        _, y, levels = ws
+        if b.dtype == dtype:
+            b.take(self._perm, 0, y, "clip")
+        else:
+            y[...] = b[self._perm]
         block = None
         if b.ndim == 2:
             # A contiguous (nnz, B) coefficient block: multiplying by a
@@ -372,17 +416,17 @@ class ScheduledTriangularSolver:
             k, width = self._coef.shape[0], b.shape[1]
             block = self._coef.astype(dtype, copy=False).repeat(
                 width).reshape(k, width)
-        prod = np.empty((self._max_nnz,) + b.shape[1:], dtype=dtype)
         # Outputs are passed positionally and the gather skips its bounds
         # check (the inspector built every index): per-call overhead is
         # what a wavefront costs here.
         mul, reduceat = np.multiply, np.add.reduceat
-        for lo, hi, s0, s1, cols, coef, offs in self._levels:
-            p = prod[:s1 - s0]
+        for cols, p, coef, offs, yv in levels:
             y.take(cols, 0, p, "clip")
-            mul(p, coef if block is None else block[s0:s1], p)
-            reduceat(p, offs, 0, None, y[lo:hi])
+            mul(p, coef if block is None else block[coef], p)
+            reduceat(p, offs, 0, None, yv)
         x[self._perm] = y
+        with self._lock:
+            self._spare = ws
         return res
 
     __call__ = solve

@@ -391,8 +391,10 @@ class _BlockCG:
                     lanczos.vector(_col(z, t), v)
             if deflator is not None:
                 z = _per_column(deflator.project, z)
-            # Column-major whatever layout the preconditioner returned.
-            self.p = np.add(z, _times(beta, self.p), order="F")
+            # Added into the freshly scaled direction, so p stays
+            # column-major whatever layout the preconditioner returned.
+            p = _times(beta, self.p)
+            self.p = np.add(z, p, p)
             # Each column's budget counts from its own start, so a block
             # that admits columns may run more sweeps than any budget.
             if k - self.earliest >= max_iters:

@@ -309,14 +309,16 @@ class TestSingleColumnKernelGuard:
     one-column SpMV and sweep routes) must stay within x1.10 with
     ILU(0), where the two triangular sweeps dominate, and x1.15 with
     Jacobi, where an iteration is a few vector kernels.  On 2 vCPUs of
-    an Intel Xeon this kernel measures x1.02-1.04 and x1.09-1.15
-    (twelve runs, half of them beside a full test run; x1.02-1.04 and
-    x1.11-1.14 before the kernels' index arrays were made writeable,
-    which both loops share; the single-vector loop it replaced:
-    x1.01-1.02 and x0.97-1.06); with the one-column block sent through
-    the 2-D SpMV and sweep it measures x1.08-1.13 with ILU(0), and the
-    former block loop at one column measures x1.13-1.27 and
-    x1.52-1.58."""
+    an Intel Xeon this kernel measures x1.01-1.04 and x1.06-1.09
+    (eight runs, two of them beside a full test run), against
+    x1.01-1.06 and x1.09-1.15 while a one-column ``matmat`` ran the
+    2-D gather and ``reduceat`` and the direction update allocated its
+    sum (x1.02-1.04 and x1.11-1.14 before the kernels' index arrays
+    were made writeable, which both loops share; the single-vector
+    loop it replaced: x1.01-1.02 and x0.97-1.06); with the one-column
+    block sent through the 2-D SpMV and sweep it measures x1.08-1.13
+    with ILU(0), and the former block loop at one column measures
+    x1.13-1.27 and x1.52-1.58."""
 
     @pytest.mark.parametrize("kind, bound", [("ilu0", 1.10),
                                              ("jacobi", 1.15)])

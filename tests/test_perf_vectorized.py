@@ -10,6 +10,8 @@ property-based over the generators of ``test_properties``, through the
 public API only.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +25,9 @@ from repro.precond import (ScheduledTriangularSolver, ilu0,
 from repro.precond.ilu0 import ilu_numeric_inplace
 from repro.precond.iluk import iluk, iluk_symbolic
 from repro.precond.ilut import ilut
-from repro.sparse import CSRMatrix, random_spd, stencil_poisson_2d
+from repro.sparse import CSRMatrix, stencil_poisson_2d
 
+from conftest import run_interleaved
 from test_properties import dense_matrix
 
 
@@ -293,6 +296,30 @@ class TestScheduleReuse:
         # forward sweep reuses lower(Â)'s.
         assert stats.misses_by_kind["level_schedule"] == 3
 
+    def test_fresh_spcg_hashes_no_pattern_twice(self, monkeypatch):
+        """The plan finds lower(Â)'s schedule under Â's memoized
+        fingerprint: no triangle is extracted and hashed again."""
+        from repro import spcg
+        from repro.datasets import load
+        from repro.perf import fingerprint
+
+        hashed = []
+        pattern_hash = fingerprint._pattern_hash
+
+        def recording(a):
+            fresh = a._pattern_hash is None
+            h = pattern_hash(a)
+            if fresh:
+                hashed.append(h.copy().hexdigest())
+            return h
+
+        monkeypatch.setattr(fingerprint, "_pattern_hash", recording)
+        a = load("thermal_900_s100", cache=False)   # nothing memoized
+        spcg(a, a.matvec(np.ones(a.n_rows)))
+        # A, the Â whose wavefronts Algorithm 2 counted, and U.
+        assert len(hashed) == 3
+        assert len(set(hashed)) == len(hashed)
+
     def test_bare_ilu0_builds_two_schedules(self, spd_random):
         f = ilu0(spd_random)
         assert f.total_levels > 0
@@ -355,41 +382,46 @@ class TestExecutorFastPath:
         np.testing.assert_array_equal(out, solver.solve(b))
 
     def test_concurrent_solves_share_solver(self, rng):
-        """Scratch space is allocated per call, so concurrent solves on
-        one shared solver must not interfere."""
-        import sys
-        import threading
+        """Threads sharing one solver, at every width it serves, get the
+        answers a fresh solver gives each right-hand side alone, bitwise:
+        a caller that finds the kept workspace busy or of another shape
+        builds its own, and the solver keeps one workspace at most."""
+        f = ilu0(stencil_poisson_2d(16))
+        n = f.n
+        rhs = [rng.standard_normal(n), rng.standard_normal((n, 3)),
+               np.asfortranarray(rng.standard_normal((n, 8))),
+               rng.standard_normal((n, 1)), np.empty((n, 0))]
+        rhs += [b.astype(np.float32) for b in rhs[:3]]
+        for kind, dtype in itertools.product(("lower", "upper"),
+                                             (np.float64, np.float32)):
+            tri = (f.lower if kind == "lower" else f.upper).astype(dtype)
 
-        a = random_spd(150, density=0.04, seed=9)
-        f = ilu0(a, raise_on_zero_pivot=False)
-        solver = ScheduledTriangularSolver(f.lower, kind="lower",
-                                           unit_diagonal=True)
-        # Single and block right-hand sides, so the per-call buffers of
-        # concurrent calls differ in width.
-        rhss = [rng.standard_normal(a.n_rows) if i % 2
-                else rng.standard_normal((a.n_rows, 3)) for i in range(8)]
-        expected = [solver.solve(b) for b in rhss]
-        mismatches = []
+            def build():
+                return ScheduledTriangularSolver(
+                    tri, kind=kind, unit_diagonal=kind == "lower")
 
-        def worker(i):
-            for _ in range(60):
-                if not np.array_equal(solver.solve(rhss[i]), expected[i]):
-                    mismatches.append(i)
+            expected = [build().solve(b) for b in rhs]
+            solver = build()
+            results = [[] for _ in range(6)]
 
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(len(rhss))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert mismatches == []
+            def worker(t):
+                # Every thread takes the widths in the same order, so
+                # threads contend for each shape's workspace.
+                for i in range(6 * len(rhs)):
+                    j = i % len(rhs)
+                    results[t].append((j, solver.solve(rhs[j])))
 
+            run_interleaved(worker, len(results))
+            assert sum(map(len, results)) == 6 * len(rhs) * len(results)
+            for j, x in (item for res in results for item in res):
+                assert x.shape == expected[j].shape
+                assert x.dtype == expected[j].dtype
+                assert x.tobytes() == expected[j].tobytes(), (kind, dtype)
+            (shape, ws_dtype), y, levels = solver._spare
+            keys = {((n,) if b.shape[1:] == (1,) else b.shape,
+                     np.result_type(dtype, b.dtype)) for b in rhs}
+            assert (shape, ws_dtype) in keys
+            assert y.shape == shape and len(levels) == solver.n_levels
 
 def _oracle(tri, b, kind, unit):
     if kind == "lower":

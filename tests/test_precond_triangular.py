@@ -164,27 +164,33 @@ def _fan_triangle(n):
 
 
 def _solver_arrays(solver):
-    arrays = [solver._perm, solver._coef, solver._level_nnz]
-    for level in solver._levels:
-        arrays += [v for v in level if isinstance(v, np.ndarray)]
-    return arrays
+    """The inspector's arrays, which every solve reads."""
+    return [solver._perm, solver._cols, solver._coef, solver._offsets,
+            solver._entry_ptr]
 
 
 class TestSweepArrays:
     """The sweep's gather indices, segment offsets and coefficients are
     private to the solver and writeable, as NumPy's ``take`` and
-    ``reduceat`` copy a read-only index array on every call: a sweep
-    allocates its own buffers and nothing index-sized besides, and no
-    solve writes into them."""
+    ``reduceat`` copy a read-only index array on every call.  The
+    permuted solution, the products and the per-level views live in
+    the solver's kept workspace, so a warm solve allocates its answer
+    (and a block's coefficient block) and nothing index-sized besides,
+    and no solve writes into the inspector's arrays."""
 
     def test_one_column_sweep_allocates_only_its_buffers(self):
         n = 20_000
         solver = ScheduledTriangularSolver(_fan_triangle(n), kind="lower")
-        assert solver.n_levels == 2 and solver._max_nnz == 2 * (n - 1)
+        assert solver.n_levels == 2 and solver.nnz == 2 * n - 1
         b = np.ones(n)
-        # The permuted right-hand side, the widest level's products and
-        # the solution.
-        buffers = 8 * (n + solver._max_nnz + n)
+        assert peak_alloc_bytes(lambda: solver.solve(b)) <= 8 * n + 4096
+
+    def test_block_sweep_allocates_its_answer_and_coefficients(self):
+        n, width = 20_000, 8
+        solver = ScheduledTriangularSolver(_fan_triangle(n), kind="lower")
+        # Column-major, as the CG kernel keeps its blocks.
+        b = np.ones((n, width), order="F")
+        buffers = 8 * width * (n + solver.nnz)
         assert peak_alloc_bytes(lambda: solver.solve(b)) <= buffers + 4096
 
     def test_solves_write_no_solver_array(self, rng):
